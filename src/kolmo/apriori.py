@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .codes import parse_word_text, word_text
 from .complexity import KEstimate
 from .exact_arith import Dyadic, ZERO
 from .prefix_vm import PrefixMachine, dovetail
@@ -21,7 +22,6 @@ __all__ = [
     "KQRow",
     "ProvenanceError",
     "approx_apriori",
-    "approx_apriori_multi",
     "apriori_vs_k",
     "extend_table",
     "save_table",
@@ -58,7 +58,6 @@ def approx_apriori(
     aux: str,
     max_stage: int,
     length_bound: int,
-    scheduler: str = "shared-tree",
 ) -> AprioriTable:
     """Accumulate 2**-|p| per accepted program seen by the dovetailer,
     ignoring programs longer than the length bound."""
@@ -71,26 +70,11 @@ def approx_apriori(
         stage=max_stage,
         length_bound=length_bound,
     )
-    for ev in dovetail(m, aux, max_stage, scheduler):
+    for ev in dovetail(m, aux, max_stage):
         if len(ev.program) <= length_bound:
             mass = Dyadic.pow2(len(ev.program))
             table.entries[ev.output] = table.entries.get(ev.output, ZERO) + mass
     return table
-
-
-def approx_apriori_multi(
-    m: PrefixMachine, auxes, max_stage: int, length_bound: int
-) -> dict[str, AprioriTable]:
-    """Tables for several auxiliary words from one fair interleave: at
-    meta-stage K the j-th word (0-based) has received the K - j stages of
-    its own schedule, so every word's budget grows without bound as the
-    meta budget does."""
-    auxes = list(auxes)
-    out: dict[str, AprioriTable] = {}
-    for j, aux in enumerate(auxes):
-        stage = max(max_stage - j, 1)
-        out[aux] = approx_apriori(m, aux, stage, length_bound)
-    return out
 
 
 @dataclass(frozen=True)
@@ -137,23 +121,15 @@ def apriori_vs_k(table: AprioriTable, estimates) -> list[KQRow]:
 
 # -- persistence --------------------------------------------------------
 
-def _word_text(w: str) -> str:
-    return w if w else "-"
-
-
-def _parse_word(t: str) -> str:
-    return "" if t == "-" else t
-
-
 def format_table(table: AprioriTable) -> str:
     lines = [
         f"# machine\t{table.machine_digest}\t{table.machine_label}",
-        f"# aux\t{_word_text(table.aux)}",
+        f"# aux\t{word_text(table.aux)}",
         f"# stage\t{table.stage}",
         f"# length_bound\t{table.length_bound}",
     ]
     for x in sorted(table.entries, key=lambda w: (len(w), w)):
-        lines.append(f"{_word_text(x)}\t{table.entries[x]}")
+        lines.append(f"{word_text(x)}\t{table.entries[x]}")
     return "\n".join(lines) + "\n"
 
 
@@ -169,12 +145,12 @@ def parse_table(text: str) -> AprioriTable:
             meta[fields[0]] = fields[1:]
             continue
         x, val = line.split("\t")
-        entries[_parse_word(x)] = Dyadic.parse(val)
+        entries[parse_word_text(x)] = Dyadic.parse(val)
     try:
         return AprioriTable(
             machine_digest=meta["machine"][0],
             machine_label=meta["machine"][1] if len(meta["machine"]) > 1 else "",
-            aux=_parse_word(meta["aux"][0]),
+            aux=parse_word_text(meta["aux"][0]),
             stage=int(meta["stage"][0]),
             length_bound=int(meta["length_bound"][0]),
             entries=entries,

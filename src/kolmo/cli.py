@@ -31,6 +31,7 @@ from .codes import (
     std_decode,
     std_encode,
     unpair_strings,
+    word_text,
 )
 from .complexity import approx_k, approx_k_universal, soi_report
 from .exact_arith import Dyadic
@@ -70,10 +71,6 @@ def _word(text: str) -> str:
     if text.strip("01"):
         raise SystemExit(f"error: not a binary word: {text!r}")
     return text
-
-
-def _word_text(w: str) -> str:
-    return w if w else "-"
 
 
 def _load_machine(spec: str):
@@ -154,21 +151,21 @@ def cmd_codes(args) -> int:
         for w in words:
             if args.decode:
                 word, used = bar_decode(w)
-                out.write(f"{_word_text(word)}\t{used}\n")
+                out.write(f"{word_text(word)}\t{used}\n")
             else:
                 out.write(bar_encode(w) + "\n")
     elif args.op == "std":
         for w in words:
             if args.decode:
                 word, used = std_decode(w)
-                out.write(f"{_word_text(word)}\t{used}\n")
+                out.write(f"{word_text(word)}\t{used}\n")
             else:
                 out.write(std_encode(w) + "\n")
     elif args.op == "pair":
         if args.decode:
             for w in words:
                 x, y = unpair_strings(w)
-                out.write(f"{_word_text(x)}\t{_word_text(y)}\n")
+                out.write(f"{word_text(x)}\t{word_text(y)}\n")
         else:
             if len(words) % 2:
                 raise SystemExit("error: pair needs an even number of words")
@@ -197,7 +194,7 @@ def cmd_vm_run(args) -> int:
         outcome = run(m, _word(args.program), _word(args.aux), args.budget)
     fields = [outcome.kind.value]
     if outcome.output is not None:
-        fields.append(f"output={_word_text(outcome.output)}")
+        fields.append(f"output={word_text(outcome.output)}")
     if outcome.bits_read is not None:
         fields.append(f"bits_read={outcome.bits_read}")
     out.write("\t".join(fields) + "\n")
@@ -224,7 +221,7 @@ def cmd_vm_dovetail(args) -> int:
     events = dovetail(m, _word(args.aux), args.max_stage, args.scheduler)
     out.write("stage\tprogram\toutput\n")
     for e in events:
-        out.write(f"{e.stage}\t{_word_text(e.program)}\t{_word_text(e.output)}\n")
+        out.write(f"{e.stage}\t{word_text(e.program)}\t{word_text(e.output)}\n")
     out.finish()
     return 0
 
@@ -242,13 +239,13 @@ def cmd_k(args) -> int:
         out.write(
             "\t".join(
                 [
-                    _word_text(rep.x),
-                    _word_text(rep.y),
+                    word_text(rep.x),
+                    word_text(rep.y),
                     str(rep.k_pair) if rep.k_pair is not None else "-",
                     str(rep.k_x) if rep.k_x is not None else "-",
                     str(rep.k_y_given_xstar) if rep.k_y_given_xstar is not None else "-",
                     str(rep.residual) if rep.residual is not None else "-",
-                    _word_text(rep.x_star) if rep.x_star is not None else "-",
+                    word_text(rep.x_star) if rep.x_star is not None else "-",
                     "1" if rep.complete else "0",
                 ]
             )
@@ -264,9 +261,9 @@ def cmd_k(args) -> int:
         est = approx_k(m, x, y, args.length_bound, args.step_bound)
     out.write("x\ty\tbits\twitness\n")
     if est is None:
-        out.write(f"{_word_text(x)}\t{_word_text(y)}\t-\t-\n")
+        out.write(f"{word_text(x)}\t{word_text(y)}\t-\t-\n")
     else:
-        out.write(f"{_word_text(x)}\t{_word_text(y)}\t{est.bits}\t{_word_text(est.witness)}\n")
+        out.write(f"{word_text(x)}\t{word_text(y)}\t{est.bits}\t{word_text(est.witness)}\n")
     out.finish()
     return 0
 
@@ -303,7 +300,7 @@ def cmd_apriori(args) -> int:
         ]
         out.write("x\tk_bits\tq_mass\tgap\tok\n")
         for row in apriori_vs_k(table, ests):
-            out.write(f"{_word_text(row.x)}\t{row.k_bits}\t{row.q_mass}\t{row.gap}\t{int(row.ok)}\n")
+            out.write(f"{word_text(row.x)}\t{row.k_bits}\t{row.q_mass}\t{row.gap}\t{int(row.ok)}\n")
     out.finish()
     return 0
 
@@ -381,12 +378,12 @@ def cmd_code(args) -> int:
     book = parse_codebook(book_text)
     if args.op == "encode":
         word = book.codeword(_word(args.x))
-        out.write((_word_text(word) if word is not None else "-") + "\n")
+        out.write((word_text(word) if word is not None else "-") + "\n")
         out.finish()
         return 0
     if args.op == "decode":
         sym = book_decode(book, _word(args.program), _word(args.aux))
-        out.write((_word_text(sym) if sym is not None else "-") + "\n")
+        out.write((word_text(sym) if sym is not None else "-") + "\n")
         out.finish()
         return 0
     raise SystemExit(f"error: unknown code op {args.op}")
@@ -402,7 +399,7 @@ def cmd_code_gap(args) -> int:
         out.write(
             "\t".join(
                 [
-                    _word_text(r.x),
+                    word_text(r.x),
                     str(r.q_mass) if r.q_mass is not None else "-",
                     str(r.neg_log_q_ceil) if r.neg_log_q_ceil is not None else "-",
                     str(r.k_bits) if r.k_bits is not None else "-",

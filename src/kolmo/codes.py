@@ -22,6 +22,8 @@ __all__ = [
     "string_to_nat",
     "word_index",
     "index_word",
+    "word_text",
+    "parse_word_text",
     "bar_encode",
     "bar_decode",
     "bar_length",
@@ -67,6 +69,16 @@ def index_word(i: int) -> str:
     if i < 1:
         raise ValueError("positions start at 1")
     return nat_to_string(i - 1)
+
+
+def word_text(w: str) -> str:
+    """A word as a file field: the empty word is written ``-``."""
+    return w if w else "-"
+
+
+def parse_word_text(t: str) -> str:
+    """Inverse of ``word_text``."""
+    return "" if t == "-" else t
 
 
 def bar_encode(x: str) -> str:

@@ -16,11 +16,9 @@ from .prefix_vm import PrefixMachine, enumerate_machines, halting_programs
 
 __all__ = [
     "KEstimate",
-    "StarWitness",
     "SoiReport",
     "approx_k",
     "approx_k_universal",
-    "star_witness",
     "soi_report",
 ]
 
@@ -42,14 +40,6 @@ class KEstimate:
     x: str = ""
     aux: str = ""
     machine_digest: str = ""
-
-
-@dataclass(frozen=True)
-class StarWitness:
-    """The canonical shortest program: lexicographically first among the
-    minimal-length accepted programs under the fixed search order."""
-
-    program: str
 
 
 def approx_k(
@@ -78,13 +68,6 @@ def approx_k(
     )
 
 
-def star_witness(
-    m: PrefixMachine, x: str, y: str, length_bound: int, step_bound: int
-) -> StarWitness | None:
-    est = approx_k(m, x, y, length_bound, step_bound)
-    return StarWitness(est.witness) if est else None
-
-
 def approx_k_universal(x: str, y: str, length_bound: int, step_bound: int) -> KEstimate | None:
     """Shortest universal program for ``x`` given ``y``: a bar-coded
     machine position followed by a program of that machine.  The search
@@ -93,13 +76,11 @@ def approx_k_universal(x: str, y: str, length_bound: int, step_bound: int) -> KE
         raise ValueError("bounds must be positive")
     best: str | None = None
     i = 1
-    while bar_length(i) <= length_bound:
-        prefix = bar_encode(nat_to_string(i))
-        room = length_bound - len(prefix)
+    while (room := length_bound - bar_length(i)) >= 0:
         for leaf in halting_programs(enumerate_machines(i), y, room, step_bound):
             if leaf.output != x:
                 continue
-            cand = prefix + leaf.program
+            cand = bar_encode(nat_to_string(i)) + leaf.program
             if best is None or (len(cand), cand) < (len(best), best):
                 best = cand
             break

@@ -54,6 +54,16 @@ is valid, every state reference is below the state count, and no two
 entries share a situation key.  ``enumerate_machines(i)`` decodes the
 i-th valid description in length-increasing lexicographic order over
 all bit strings; the mapping is frozen by a golden file under tests/.
+
+That order has a closed form, so a position is decoded directly, in
+time linear in its entry count and with no cache.  Descriptions come in
+blocks by entry count k, then by state count n; a block holds the
+product over j < k of (18n - j) * 108(n + 1) descriptions, because entry
+j is one of the 18n - j situations that earlier entries left unused
+(ascending), then one of the 108(n + 1) actions.  Positions 1-8 have no
+entries, the one-entry blocks start at 9, 3897, 15561, ... and the first
+two-entry machine is at 466569.
+
 The in-memory model itself is not limited to 8 states -- only
 descriptions are; machines built from text fixtures may be larger.
 """
@@ -61,7 +71,6 @@ descriptions are; machines built from text fixtures may be larger.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -279,7 +288,15 @@ class HaltLeaf:
     steps: int
 
 
-def _halting_programs(m: PrefixMachine, aux: str, length_bound: int, step_budget: int) -> tuple[HaltLeaf, ...]:
+@lru_cache(maxsize=4096)
+def halting_programs(m: PrefixMachine, aux: str, length_bound: int, step_budget: int) -> tuple[HaltLeaf, ...]:
+    """All accepted programs of length <= bound halting within the budget.
+
+    Computations sharing a read-prefix are stepped once, so the cost is
+    the tree of distinct runs rather than 2**(L+1) independent ones.
+    Leaves are sorted by (length, lexicographic).  Results are cached per
+    (machine, aux, bounds); equal machines share an entry.
+    """
     leaves: list[HaltLeaf] = []
     stack: list[tuple[_Sim, str]] = [(_Sim(), "")]
     while stack:
@@ -311,21 +328,6 @@ def _halting_programs(m: PrefixMachine, aux: str, length_bound: int, step_budget
             seen.add(snap)
     leaves.sort(key=lambda l: (len(l.program), l.program))
     return tuple(leaves)
-
-
-@lru_cache(maxsize=4096)
-def _halting_programs_cached(digest: str, m: PrefixMachine, aux: str, length_bound: int, step_budget: int):
-    return _halting_programs(m, aux, length_bound, step_budget)
-
-
-def halting_programs(m: PrefixMachine, aux: str, length_bound: int, step_budget: int) -> tuple[HaltLeaf, ...]:
-    """All accepted programs of length <= bound halting within the budget.
-
-    Computations sharing a read-prefix are stepped once, so the cost is
-    the tree of distinct runs rather than 2**(L+1) independent ones.
-    Leaves are sorted by (length, lexicographic).
-    """
-    return _halting_programs_cached(m.digest(), m, aux, length_bound, step_budget)
 
 
 @dataclass(frozen=True)
@@ -472,75 +474,60 @@ def decode_description(bits: str) -> PrefixMachine | None:
     return PrefixMachine(n_states, tuple(entries))
 
 
-def _valid_entries(n_states: int):
-    """All valid 20-bit entries in ascending bit order."""
-    for state in range(n_states):
-        for pending in _PENDING_CODES:
-            for aux in _AUX_CODES:
-                for work in (0, 1):
-                    key = (state, pending, aux, work)
-                    for nc in range(n_states + 1):
-                        nxt = HALT if nc == 0 else nc - 1
-                        for write in (0, 1):
-                            for wmove in _MOVE_CODES:
-                                for amove in _MOVE_CODES:
-                                    for out in _OUT_CODES:
-                                        for read in (False, True):
-                                            yield key, (nxt, write, wmove, amove, out, read)
+# situation and action for each digit value, in ascending bit order; a
+# block with n states uses the first 18n and the first 108(n + 1) of them
+_SITUATIONS = tuple((s // 18, _PENDING_CODES[s // 6 % 3], _AUX_CODES[s // 2 % 3], s % 2) for s in range(18 * 8))
+_ACTIONS = tuple(
+    (a // 108 - 1 if a >= 108 else HALT, a // 54 % 2, _MOVE_CODES[a // 18 % 3], _MOVE_CODES[a // 6 % 3],
+     _OUT_CODES[a // 2 % 3], bool(a % 2))
+    for a in range(108 * 9)
+)
 
 
-def _iter_descriptions():
-    """(bits, machine) for every valid description, in enumeration order."""
-    n_entries = 0
-    while True:
-        for header in range(8):
-            n_states = header + 1
-            header_bits = format(header, "b").zfill(3)
-            if n_entries == 0:
-                yield header_bits, PrefixMachine(n_states, ())
+def _position_entries(i: int) -> tuple[int, tuple[tuple[TKey, TVal], ...]]:
+    """(state count, entries) of the i-th valid description.
+
+    Every field's valid codes are a prefix of its range and the situation
+    fields lead each entry, so each (k entries, n states) block of the
+    order described in the module docstring is a mixed-radix number.
+    """
+    if i < 1:
+        raise ValueError("machine positions start at 1")
+    rest = i - 1
+    sizes = [1] * 9                     # block size per state count 1..8
+    for k in range(18 * 8 + 1):
+        for n in range(1, 9):
+            if k:
+                sizes[n] *= (18 * n - k + 1) * 108 * (n + 1)
+            if rest >= sizes[n]:
+                rest -= sizes[n]
                 continue
-            for combo in _entry_tuples(n_states, n_entries):
-                bits = header_bits + "".join(_pack_entry(k, v) for k, v in combo)
-                yield bits, PrefixMachine(n_states, combo)
-        n_entries += 1
-
-
-def _entry_tuples(n_states: int, n_entries: int):
-    """Ordered n-tuples of valid entries with pairwise distinct keys."""
-    if n_entries == 1:
-        for e in _valid_entries(n_states):
-            yield (e,)
-        return
-    pool = list(_valid_entries(n_states))
-    for combo in itertools.product(pool, repeat=n_entries):
-        if len({k for k, _ in combo}) == n_entries:
-            yield combo
-
-
-_enum_cache: list[tuple[str, PrefixMachine]] = []
-_enum_source = _iter_descriptions()
-
-
-def _extend_enum(i: int) -> None:
-    while len(_enum_cache) < i:
-        bits, machine = next(_enum_source)
-        idx = len(_enum_cache) + 1
-        _enum_cache.append(
-            (bits, PrefixMachine(machine.n_states, machine.entries, name=f"T{idx}", index=idx))
-        )
+            digits = []
+            for j in reversed(range(k)):
+                rest, action = divmod(rest, 108 * (n + 1))
+                rest, situation = divmod(rest, 18 * n - j)
+                digits.append((situation, action))
+            used: list[int] = []
+            entries = []
+            for s, action in reversed(digits):
+                for u in used:          # the s-th situation not used yet
+                    if u <= s:
+                        s += 1
+                used.append(s)
+                used.sort()
+                entries.append((_SITUATIONS[s], _ACTIONS[action]))
+            return n, tuple(entries)
+    raise ValueError(f"no valid description at position {i}")
 
 
 def enumerate_machines(i: int) -> PrefixMachine:
     """The machine decoded from the i-th valid description (i >= 1)."""
-    if i < 1:
-        raise ValueError("machine positions start at 1")
-    _extend_enum(i)
-    return _enum_cache[i - 1][1]
+    n_states, entries = _position_entries(i)
+    return PrefixMachine(n_states, entries, name=f"T{i}", index=i)
 
 
 def machine_description(i: int) -> str:
-    _extend_enum(i)
-    return _enum_cache[i - 1][0]
+    return encode_description(enumerate_machines(i))
 
 
 def universal_run(word: str, aux: str, step_budget: int) -> RunOutcome:

@@ -43,9 +43,9 @@ class UndefinedConditionalError(ArithmeticError):
 class ConditioningSet:
     """A finite event as both a set of words and its indicator word.
 
-    Position i of the indicator (0-based over an explicit index range)
-    is 1 exactly when the word at bijection position i+... -- concretely,
-    when ``nat_to_string(i)`` -- belongs to the set.
+    Position i of the indicator word (0-based, over ``index_range``
+    positions) is 1 exactly when ``nat_to_string(i)``, the word at
+    bijection position i, belongs to the set.
     """
 
     members: frozenset[str]

@@ -22,12 +22,18 @@ from .sf_coder import build_codebook, decode, shannon_fano
 _ENUM_PREFIX = ("000", "001", "010", "011", "100", "101", "110", "111", "0" * 23)
 
 
+def _require(cond, msg="") -> None:
+    # an explicit raise, so that ``python -O`` cannot strip the check
+    if not cond:
+        raise AssertionError(msg)
+
+
 def _check_dyadic():
     a, b = Dyadic(3, 3), Dyadic(5, 4)
-    assert (a + b) - b == a
-    assert a * b == Dyadic(15, 7)
-    assert Dyadic.parse(str(b)) == b
-    assert sum((Dyadic(1, k) for k in range(1, 9)), ZERO) == Dyadic(255, 8)
+    _require((a + b) - b == a)
+    _require(a * b == Dyadic(15, 7))
+    _require(Dyadic.parse(str(b)) == b)
+    _require(sum((Dyadic(1, k) for k in range(1, 9)), ZERO) == Dyadic(255, 8))
 
 
 def _check_interval_cover():
@@ -36,57 +42,57 @@ def _check_interval_cover():
         for hi in range(lo + 1, n + 1):
             iv = Interval(Dyadic(lo, 6), Dyadic(hi, 6))
             best = largest_binary_subinterval(iv)
-            assert best.length * Dyadic(4) > iv.length
+            _require(best.length * Dyadic(4) > iv.length)
             cover = cover_by_binary(iv)
-            assert 1 <= len(cover) <= 4
-            assert cover[0].interval().lo <= iv.lo and iv.hi <= cover[-1].interval().hi
+            _require(1 <= len(cover) <= 4)
+            _require(cover[0].interval().lo <= iv.lo and iv.hi <= cover[-1].interval().hi)
 
 
 def _check_codes():
     for n in range(512):
         w = codes.nat_to_string(n)
-        assert codes.string_to_nat(w) == n
-        assert codes.bar_decode(codes.bar_encode(w) + "10")[0] == w
-        assert codes.unpair_strings(codes.pair_strings(w, "01")) == (w, "01")
+        _require(codes.string_to_nat(w) == n)
+        _require(codes.bar_decode(codes.bar_encode(w) + "10")[0] == w)
+        _require(codes.unpair_strings(codes.pair_strings(w, "01")) == (w, "01"))
     bar_words = {codes.bar_encode(codes.nat_to_string(n)) for n in range(15)}
-    assert codes.is_prefix_free(bar_words)
-    assert codes.kraft_sum(bar_words) == Dyadic(15, 4)
+    _require(codes.is_prefix_free(bar_words))
+    _require(codes.kraft_sum(bar_words) == Dyadic(15, 4))
 
 
 def _check_fixture_acceptance():
     m = load_fixture("copy2")
-    assert run(m, "10", "", 64).output == "10"
-    assert run(m, "1", "", 64).kind is Outcome.PAST_END
+    _require(run(m, "10", "", 64).output == "10")
+    _require(run(m, "1", "", 64).kind is Outcome.PAST_END)
     for name in fixture_names():
         machine = load_fixture(name)
         leaves = halting_programs(machine, "", 8, 400)
-        assert codes.is_prefix_free(l.program for l in leaves), name
-        assert codes.kraft_sum(l.program for l in leaves) <= ONE, name
+        _require(codes.is_prefix_free(l.program for l in leaves), name)
+        _require(codes.kraft_sum(l.program for l in leaves) <= ONE, name)
 
 
 def _check_schedulers_agree():
     for name in fixture_names():
         machine = load_fixture(name)
         for aux in ("", "1"):
-            assert dovetail(machine, aux, 64) == dovetail(machine, aux, 64, "staged"), name
+            _require(dovetail(machine, aux, 64) == dovetail(machine, aux, 64, "staged"), name)
     for i in (9, 10, 117, 118):
         machine = enumerate_machines(i)
-        assert dovetail(machine, "", 48) == dovetail(machine, "", 48, "staged"), i
+        _require(dovetail(machine, "", 48) == dovetail(machine, "", 48, "staged"), i)
 
 
 def _check_enumeration_frozen():
     got = tuple(machine_description(i) for i in range(1, len(_ENUM_PREFIX) + 1))
-    assert got == _ENUM_PREFIX, "standard enumeration drifted"
+    _require(got == _ENUM_PREFIX, "standard enumeration drifted")
 
 
 def _check_apriori_tables():
     t = approx_apriori(load_fixture("echo1"), "", 32, 6)
-    assert t.entries == {"0": Dyadic(1, 1), "1": Dyadic(1, 1)}
+    _require(t.entries == {"0": Dyadic(1, 1), "1": Dyadic(1, 1)})
     t2 = approx_apriori(load_fixture("twoway"), "", 64, 6)
-    assert t2.entries == {"1": Dyadic(3, 3)}
+    _require(t2.entries == {"1": Dyadic(3, 3)})
     for i in range(1, 33):
         machine = enumerate_machines(i)
-        assert approx_apriori(machine, "", 128, 8).total() <= ONE, i
+        _require(approx_apriori(machine, "", 128, 8).total() <= ONE, i)
 
 
 def _check_k_vs_q():
@@ -95,7 +101,7 @@ def _check_k_vs_q():
         table = approx_apriori(machine, "", 128, 7)
         ests = [approx_k(machine, x, "", 7, 100) for x in table.entries]
         for row in apriori_vs_k(table, [e for e in ests if e]):
-            assert row.ok, (name, row)
+            _require(row.ok, (name, row))
 
 
 def _check_invariance():
@@ -107,16 +113,16 @@ def _check_invariance():
                 continue
             bound = est.bits + codes.bar_length(i)
             est_u = approx_k_universal(x, "", bound, 64)
-            assert est_u is not None and est_u.bits <= bound, (i, x)
+            _require(est_u is not None and est_u.bits <= bound, (i, x))
 
 
 def _check_clamping_traces():
-    assert normalize(MonotoneApproximator.constant(ZERO), 5).values == {}
+    _require(normalize(MonotoneApproximator.constant(ZERO), 5).values == {})
     phi = MonotoneApproximator(lambda x, y, k: Dyadic(1, x) if x <= k else ZERO)
     table = normalize(phi, 5)
-    assert all(table.mass(x, y) == Dyadic(1, x) for x in range(1, 6) for y in range(1, 6))
+    _require(all(table.mass(x, y) == Dyadic(1, x) for x in range(1, 6) for y in range(1, 6)))
     frozen = normalize(MonotoneApproximator.constant(ONE), 5)
-    assert frozen.values == {(1, 1): ONE}
+    _require(frozen.values == {(1, 1): ONE})
 
 
 def _check_mixture_domination():
@@ -136,7 +142,7 @@ def _check_mixture_domination():
         spec = MixtureSpec(tuple(comps))
         mixed = mixture(spec, 5)
         domain = [(x, y) for x in range(1, 5) for y in range(1, 5)]
-        assert check_domination(mixed, spec, domain)
+        _require(check_domination(mixed, spec, domain))
 
 
 def _check_static_coder():
@@ -151,10 +157,10 @@ def _check_static_coder():
             masses.append((f"s{i}", Dyadic(take, 8)))
         book = shannon_fano(masses)
         words = [w for _, w, _ in book.entries]
-        assert codes.is_prefix_free(words)
-        assert codes.kraft_sum(words) <= ONE
+        _require(codes.is_prefix_free(words))
+        _require(codes.kraft_sum(words) <= ONE)
         for (_, w, _), (_, p) in zip(book.entries, masses):
-            assert len(w) <= p.ceil_log2_reciprocal() + 2
+            _require(len(w) <= p.ceil_log2_reciprocal() + 2)
 
 
 def _check_event_coder():
@@ -186,10 +192,10 @@ def _check_event_coder():
         for idx, target in targets.items():
             sym = codes.index_word(idx)
             word = book.codeword(sym)
-            assert word is not None
-            assert Dyadic.pow2(len(word)) * Dyadic(8) >= target
-            assert decode(book, word, "") == sym
-            assert sums[sym] < target + target
+            _require(word is not None)
+            _require(Dyadic.pow2(len(word)) * Dyadic(8) >= target)
+            _require(decode(book, word, "") == sym)
+            _require(sums[sym] < target + target)
 
 
 def _check_quotient_forms():
@@ -205,7 +211,7 @@ def _check_quotient_forms():
         mixed = mix_joint(comps)
         for (x, y), _ in mixed.entries:
             a, b, c = quotient_forms(comps, x, y)
-            assert a == b == c
+            _require(a == b == c)
 
 
 CHECKS = [

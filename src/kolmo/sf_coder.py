@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .apriori import approx_apriori
-from .codes import index_word, word_index
+from .codes import index_word, parse_word_text, word_index, word_text
 from .complexity import approx_k
 from .exact_arith import Dyadic, Interval, ONE, ZERO, largest_binary_subinterval
 from .prefix_vm import HALT, NO_BIT, PrefixMachine, dovetail
@@ -44,7 +44,6 @@ __all__ = [
     "CodeBook",
     "shannon_fano",
     "per_condition_schedule",
-    "diagonal_schedule",
     "psi_discretize",
     "build_codebook",
     "machine_mass_stream",
@@ -123,14 +122,6 @@ def per_condition_schedule(y_index: int, max_stage: int):
     for s in range(2, max_stage + 1):
         for x in range(1, s):
             yield (x, y_index, s - x)
-
-
-def diagonal_schedule(max_stage: int):
-    """Fair sweep over (x, y, t) triples by total, then lexicographic."""
-    for s in range(3, max_stage + 1):
-        for x in range(1, s - 1):
-            for y in range(1, s - x):
-                yield (x, y, s - x - y)
 
 
 def psi_discretize(phi: MonotoneApproximator, schedule, max_events: int | None = None):
@@ -416,22 +407,14 @@ def coding_gap_report_mixture(spec: MixtureSpec, y: str, max_stage: int) -> list
 
 # -- persistence ---------------------------------------------------------
 
-def _word_text(w: str) -> str:
-    return w if w else "-"
-
-
-def _parse_word(t: str) -> str:
-    return "" if t == "-" else t
-
-
 def format_codebook(book: CodeBook) -> str:
     lines = [
-        f"# aux\t{_word_text(book.aux)}",
+        f"# aux\t{word_text(book.aux)}",
         f"# provenance\t{book.provenance}",
         f"# cursor\t{book.layout_cursor}",
     ]
     for sym, word, iv, ev in book.entries:
-        lines.append(f"{_word_text(sym)}\t{_word_text(word)}\t{iv.lo}\t{iv.hi}")
+        lines.append(f"{word_text(sym)}\t{word_text(word)}\t{iv.lo}\t{iv.hi}")
     return "\n".join(lines) + "\n"
 
 
@@ -447,7 +430,7 @@ def parse_codebook(text: str) -> CodeBook:
         if line.startswith("# "):
             key, _, val = line[2:].partition("\t")
             if key == "aux":
-                aux = _parse_word(val)
+                aux = parse_word_text(val)
             elif key == "provenance":
                 provenance = val
             elif key == "cursor":
@@ -456,5 +439,5 @@ def parse_codebook(text: str) -> CodeBook:
         sym, word, lo, hi = line.split("\t")
         iv = Interval(Dyadic.parse(lo), Dyadic.parse(hi))
         mass = iv.length + iv.length
-        entries.append((_parse_word(sym), _parse_word(word), iv, PsiEvent(_parse_word(sym), aux, 0, mass)))
+        entries.append((parse_word_text(sym), parse_word_text(word), iv, PsiEvent(parse_word_text(sym), aux, 0, mass)))
     return CodeBook(aux=aux, entries=entries, layout_cursor=cursor, provenance=provenance)

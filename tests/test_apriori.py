@@ -1,7 +1,6 @@
 import pytest
 
 from kolmo.apriori import (
-    approx_apriori_multi,
     ProvenanceError,
     approx_apriori,
     apriori_vs_k,
@@ -141,17 +140,3 @@ class TestPersistence:
         t = approx_apriori(m, "", 10, 6)
         with pytest.raises(ValueError):
             extend_table(t, m, 5)
-
-
-class TestMultiCondition:
-    def test_fair_interleave_over_conditions(self):
-        m = load_fixture("ident")
-        tables = approx_apriori_multi(m, ["", "1", "01"], 120, 6)
-        assert set(tables) == {"", "1", "01"}
-        # earlier-listed words get more stages, all grow unboundedly
-        assert tables[""].stage == 120
-        assert tables["1"].stage == 119
-        # ident ignores its auxiliary word, so masses agree wherever both
-        # budgets saw the same events
-        for x, v in tables["01"].entries.items():
-            assert v <= tables[""].mass(x)

@@ -59,6 +59,12 @@ class TestVm:
         assert out[0] == "1\t000"
         assert out[8] == "9\t" + "0" * 23
 
+    def test_enumerate_position_zero_is_an_error(self):
+        proc = kolmo("vm", "enumerate", "--start", "0", "--descriptions", check=False)
+        assert proc.returncode == 1
+        assert "machine positions start at 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_dovetail_schedulers_byte_identical(self):
         a = kolmo("vm", "dovetail", "-m", "ident", "--max-stage", "200").stdout
         b = kolmo("vm", "dovetail", "-m", "ident", "--max-stage", "200", "--scheduler", "staged").stdout
@@ -146,6 +152,18 @@ class TestDeterminismAndManifest:
         assert a.returncode == 0
         assert a.stdout == b.stdout
         assert a.stdout.splitlines()[-1].startswith("selftest:")
+
+    def test_selftest_fails_under_optimize(self):
+        # python -O strips assert statements; the selftest must not
+        # depend on them
+        script = (
+            "import sys; from kolmo import selftest; "
+            "selftest._ENUM_PREFIX = ('111',); "
+            "sys.exit(selftest.run_selftest(sys.stdout.write))"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "FAIL enumeration-frozen: standard enumeration drifted" in proc.stdout
 
     def test_manifest_written_and_stable(self, tmp_path):
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"

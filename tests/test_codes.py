@@ -19,6 +19,8 @@ from kolmo.codes import (
     string_to_nat,
     unpair_strings,
     word_index,
+    word_text,
+    parse_word_text,
 )
 from kolmo.exact_arith import Dyadic, ONE
 
@@ -41,6 +43,12 @@ def test_bijection_order_is_length_lex():
     ws = [nat_to_string(n) for n in range(200)]
     assert ws == sorted(ws, key=lambda w: (len(w), w))
     assert word_index("") == 1 and index_word(4) == "00"
+
+
+def test_word_text_roundtrip():
+    assert word_text("") == "-" and parse_word_text("-") == ""
+    for w in ("0", "1", "0110"):
+        assert word_text(w) == w and parse_word_text(word_text(w)) == w
 
 
 class TestBarCode:

@@ -7,7 +7,7 @@ shortcuts) and takes the minimum by hand.
 from pathlib import Path
 
 from kolmo.codes import bar_length, kraft_sum
-from kolmo.complexity import approx_k, approx_k_universal, soi_report, star_witness
+from kolmo.complexity import approx_k, approx_k_universal, soi_report
 from kolmo.exact_arith import ONE
 from kolmo.fixtures import load_fixture
 from kolmo.prefix_vm import Outcome, enumerate_machines, run
@@ -88,11 +88,11 @@ class TestApproxK:
         ests = [approx_k(m, x, "", 9, 400) for x in all_words(3)]
         assert kraft_sum(e.witness for e in ests if e) <= ONE
 
-    def test_star_witness_is_lex_first_minimal(self):
+    def test_witness_is_lex_first_minimal(self):
         # echo-like machine where "0" and "1" both halt: for output "0"
         # the only witness is "0" itself
-        sw = star_witness(load_fixture("echo1"), "0", "", 3, 50)
-        assert sw.program == "0"
+        est = approx_k(load_fixture("echo1"), "0", "", 3, 50)
+        assert est.witness == "0"
 
 
 class TestUniversalEstimates:

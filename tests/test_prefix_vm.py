@@ -4,6 +4,9 @@ Fixture behavior is cross-checked two independent ways: direct per-word
 runs and the shared-prefix search must report the same accepted set.
 """
 
+import itertools
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,8 @@ from kolmo.codes import bar_encode, is_prefix_free, nat_to_string, word_index
 from kolmo.fixtures import fixture_names, load_fixture
 from kolmo.prefix_vm import (
     HALT,
+    MARKER,
+    NO_BIT,
     Outcome,
     PrefixMachine,
     MachineFormatError,
@@ -156,7 +161,87 @@ class TestDovetail:
             assert e.stage == word_index(e.program) + 2   # echo1 halts in 2 steps
 
 
+def valid_entries(n_states):
+    """All valid 20-bit entries in ascending bit order."""
+    for state in range(n_states):
+        for pending in (NO_BIT, 0, 1):
+            for aux in (MARKER, 0, 1):
+                for work in (0, 1):
+                    key = (state, pending, aux, work)
+                    for nc in range(n_states + 1):
+                        nxt = HALT if nc == 0 else nc - 1
+                        for write in (0, 1):
+                            for wmove in (0, -1, 1):
+                                for amove in (0, -1, 1):
+                                    for out in (None, 0, 1):
+                                        for read in (False, True):
+                                            yield key, (nxt, write, wmove, amove, out, read)
+
+
+def entry_tuples(pool, n_entries):
+    """Ordered n-tuples from ``pool`` with pairwise distinct keys, in pool order."""
+    for combo in itertools.product(pool, repeat=n_entries):
+        if len({k for k, _ in combo}) == n_entries:
+            yield combo
+
+
+def referee_machines():
+    """(state count, entries) of every valid description in enumeration
+    order: the literal walk over headers and entry tuples."""
+    for n_entries in itertools.count():
+        for n_states in range(1, 9):
+            for combo in entry_tuples(list(valid_entries(n_states)), n_entries):
+                yield n_states, combo
+
+
+def assert_position(i, n_states, entries):
+    m = enumerate_machines(i)
+    assert (m.n_states, m.entries, m.index, m.name) == (n_states, entries, i, f"T{i}"), i
+
+
 class TestEnumeration:
+    def test_decoder_matches_referee_on_first_20000(self):
+        for i, (n_states, entries) in enumerate(itertools.islice(referee_machines(), 20_000), 1):
+            assert_position(i, n_states, entries)
+
+    def test_decoder_matches_referee_at_two_entry_block_ends(self):
+        pools = {n: list(valid_entries(n)) for n in range(1, 9)}
+        start = 1 + 8 + sum(len(pool) for pool in pools.values())
+        assert start == 466_569
+        for n in range(1, 9):
+            # ordered pairs minus those sharing a situation key
+            size = len(pools[n]) ** 2 - sum(c * c for c in Counter(k for k, _ in pools[n]).values())
+            if n in (1, 2, 8):
+                first = itertools.islice(entry_tuples(pools[n], 2), 1000)
+                for i, combo in enumerate(first, start):
+                    assert_position(i, n, combo)
+                last = itertools.islice(entry_tuples(pools[n][::-1], 2), 1000)
+                for i, combo in enumerate(last):
+                    assert_position(start + size - 1 - i, n, combo)
+            start += size
+
+    def test_first_two_entry_machine_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            m = enumerate_machines(466_569)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (m.n_states, len(m.entries)) == (1, 2)
+        assert peak < 1 << 20
+
+    def test_positions_past_the_last_description(self):
+        # at most 8 states, so at most 144 entries: the order is finite
+        with pytest.raises(ValueError, match="no valid description"):
+            enumerate_machines(10**1000)
+
+    def test_positions_start_at_1(self):
+        for i in (0, -3):
+            with pytest.raises(ValueError, match="machine positions start at 1"):
+                enumerate_machines(i)
+            with pytest.raises(ValueError, match="machine positions start at 1"):
+                machine_description(i)
+
     def test_golden_first_100(self):
         want = (GOLDEN / "machine_descriptions.txt").read_text().splitlines()
         got = [machine_description(i) for i in range(1, 101)]
