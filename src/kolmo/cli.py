@@ -311,17 +311,20 @@ def _load_spec(path: str, out: _Output) -> MixtureSpec:
     text = Path(path).read_text()
     out.note_input("spec", text)
     doc = json.loads(text)
-    comps = []
+    try:
+        entries = [(int(entry["exponent"]), str(entry["csv"])) for entry in doc["components"]]
+    except (KeyError, TypeError) as err:
+        raise SystemExit(f"error: {path}: need a components list of {{exponent, csv}} objects") from err
     base = Path(path).parent
-    for entry in doc["components"]:
-        exponent = int(entry["exponent"])
-        csv_path = base / entry["csv"]
-        comps.append((exponent, load_approximator_csv(csv_path.read_text(), name=entry["csv"])))
+    comps = [(e, load_approximator_csv((base / csv).read_text(), name=csv)) for e, csv in entries]
     return MixtureSpec(tuple(comps))
 
 
 def cmd_semimeasure(args) -> int:
     out = _Output(args, f"semimeasure {args.op}")
+    needed = "phi" if args.op == "normalize" else "spec"
+    if getattr(args, needed) is None:
+        raise SystemExit(f"error: semimeasure {args.op} needs --{needed}")
     if args.op == "normalize":
         text = Path(args.phi).read_text()
         out.note_input("phi", text)

@@ -288,14 +288,19 @@ class HaltLeaf:
     steps: int
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=64)
 def halting_programs(m: PrefixMachine, aux: str, length_bound: int, step_budget: int) -> tuple[HaltLeaf, ...]:
     """All accepted programs of length <= bound halting within the budget.
 
     Computations sharing a read-prefix are stepped once, so the cost is
     the tree of distinct runs rather than 2**(L+1) independent ones.
     Leaves are sorted by (length, lexicographic).  Results are cached per
-    (machine, aux, bounds); equal machines share an entry.
+    (machine, aux, bounds); equal machines share an entry.  The cache
+    keeps only the 64 most recent keys: repeats come from within one
+    computation (the mass table and the mass stream of one machine, the
+    per-output searches against one table), not across computations,
+    and an entry can hold up to 2**(bound + 1) leaves, so a larger cache
+    only keeps dead results alive.
     """
     leaves: list[HaltLeaf] = []
     stack: list[tuple[_Sim, str]] = [(_Sim(), "")]
@@ -583,25 +588,30 @@ def parse_machine_text(text: str, name: str = "") -> PrefixMachine:
         if parts[0] == "states":
             if n_states is not None:
                 raise MachineFormatError(f"line {lineno}: duplicate states line")
+            if len(parts) != 2 or not parts[1].isdecimal():
+                raise MachineFormatError(f"line {lineno}: bad states line {line!r}")
             n_states = int(parts[1])
             continue
         if n_states is None:
             raise MachineFormatError(f"line {lineno}: states line must come first")
         if len(parts) != 11 or parts[4] != "->":
             raise MachineFormatError(f"line {lineno}: bad entry {line!r}")
-        state = int(parts[0])
-        pendings = _PENDING_TOKENS.values() if parts[1] == "*" else (_PENDING_TOKENS[parts[1]],)
-        auxes = _AUX_TOKENS.values() if parts[2] == "*" else (_AUX_TOKENS[parts[2]],)
-        works = (0, 1) if parts[3] == "*" else (int(parts[3]),)
-        nxt = HALT if parts[5] == "H" else int(parts[5])
-        val = (
-            nxt,
-            int(parts[6]),
-            _MOVE_TOKENS[parts[7]],
-            _MOVE_TOKENS[parts[8]],
-            _OUT_TOKENS[parts[9]],
-            parts[10] == "r",
-        )
+        try:
+            state = int(parts[0])
+            pendings = _PENDING_TOKENS.values() if parts[1] == "*" else (_PENDING_TOKENS[parts[1]],)
+            auxes = _AUX_TOKENS.values() if parts[2] == "*" else (_AUX_TOKENS[parts[2]],)
+            works = (0, 1) if parts[3] == "*" else (int(parts[3]),)
+            nxt = HALT if parts[5] == "H" else int(parts[5])
+            val = (
+                nxt,
+                int(parts[6]),
+                _MOVE_TOKENS[parts[7]],
+                _MOVE_TOKENS[parts[8]],
+                _OUT_TOKENS[parts[9]],
+                parts[10] == "r",
+            )
+        except (KeyError, ValueError) as err:
+            raise MachineFormatError(f"line {lineno}: bad entry {line!r}") from err
         for pending in pendings:
             for aux in auxes:
                 for work in works:

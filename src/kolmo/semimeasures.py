@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .codes import nat_to_string
@@ -71,14 +71,19 @@ class MonotoneApproximator:
 
     Values are memoized and validated at query time: a value smaller
     than one recorded at a lower stage (or larger than one at a higher
-    stage) raises MonotonicityError naming the point.
+    stage) raises MonotonicityError naming the point.  Each (x, y) keeps
+    its recorded stages sorted, and every accepted value passed this
+    check, so the recorded values are monotone too: a new point is
+    checked against its two sorted neighbours only, in O(log n) for n
+    recorded stages.
     """
 
     def __init__(self, fn, name: str = "phi"):
         self._fn = fn
         self.name = name
         self._memo: dict[tuple[int, int, int], Dyadic] = {}
-        self._history: dict[tuple[int, int], list[tuple[int, Dyadic]]] = {}
+        # (x, y) -> (sorted stages, their values), parallel lists
+        self._history: dict[tuple[int, int], tuple[list[int], list[Dyadic]]] = {}
 
     def __call__(self, x: int, y: int, k: int) -> Dyadic:
         if min(x, y, k) < 1:
@@ -89,11 +94,12 @@ class MonotoneApproximator:
         value = self._fn(x, y, k)
         if not isinstance(value, Dyadic):
             raise TypeError(f"{self.name} returned {value!r}, need a Dyadic")
-        history = self._history.setdefault((x, y), [])
-        for kk, vv in history:
-            if (kk < k and vv > value) or (kk > k and vv < value):
-                raise MonotonicityError(x, y, k)
-        insort(history, (k, value), key=lambda kv: kv[0])
+        stages, values = self._history.setdefault((x, y), ([], []))
+        i = bisect_left(stages, k)
+        if (i > 0 and values[i - 1] > value) or (i < len(stages) and values[i] < value):
+            raise MonotonicityError(x, y, k)
+        stages.insert(i, k)
+        values.insert(i, value)
         self._memo[point] = value
         return value
 

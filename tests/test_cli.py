@@ -75,6 +75,14 @@ class TestVm:
         proc = kolmo("vm", "run", "-m", "nosuch", "-p", "0", check=False)
         assert proc.returncode != 0
 
+    def test_bad_machine_token_is_an_error(self, tmp_path):
+        bad = tmp_path / "bad.tm"
+        bad.write_text("states 1\n0 - X 0 -> H 0 S S . .\n")
+        proc = kolmo("vm", "run", "-m", str(bad), "-p", "0", check=False)
+        assert proc.returncode in (1, 2)
+        assert "line 2: bad entry" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self):
@@ -135,6 +143,27 @@ class TestPipelines:
         assert "1\t1\t1/2^1" in out and "2\t1\t1/2^1" in out
         proc = kolmo("semimeasure", "dominate", "--spec", str(spec), "--max-stage", "3")
         assert proc.stdout == "dominates\t1\n"
+
+    def test_semimeasure_normalize_without_phi(self):
+        proc = kolmo("semimeasure", "normalize", "--max-stage", "3", check=False)
+        assert proc.returncode in (1, 2)
+        assert "needs --phi" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_semimeasure_mixture_and_dominate_without_spec(self):
+        for op in ("mixture", "dominate"):
+            proc = kolmo("semimeasure", op, check=False)
+            assert proc.returncode in (1, 2)
+            assert "needs --spec" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_semimeasure_spec_without_components(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"parts": []}))
+        proc = kolmo("semimeasure", "mixture", "--spec", str(spec), check=False)
+        assert proc.returncode in (1, 2)
+        assert "components" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_demo_condition_set(self):
         out = kolmo(

@@ -119,6 +119,21 @@ class TestHaltingPrograms:
         expect = {bar_encode(nat_to_string(n)): nat_to_string(n) for n in range(15)}
         assert got == expect
 
+    def test_cache_stays_within_its_cap(self):
+        """Every measured reuse of a cached result happens inside one
+        computation: the mass table and the mass stream of one machine
+        ask for the same dovetail, the per-output searches against one
+        table share one search tree.  Nothing is reused across
+        computations (the selftest, the universal acceptance sweep and
+        the search benchmark hit as often at 64 entries as at 4096),
+        while an entry holds up to 2**(bound + 1) leaves, so the cap is
+        a few dozen keys: a larger one only keeps dead results alive."""
+        cap = halting_programs.cache_info().maxsize
+        assert cap is not None and cap <= 64
+        for i in range(9, 9 + 3 * cap):
+            halting_programs(enumerate_machines(i), "", 4, 32)
+        assert halting_programs.cache_info().currsize <= cap
+
 
 class TestDovetail:
     def test_halt_now_single_event(self):
@@ -308,6 +323,19 @@ class TestTextFormat:
         bad = "states 1\n0 - $ 0 -> H 0 S S . .\n0 - $ 0 -> 0 0 S S . .\n"
         with pytest.raises(MachineFormatError):
             parse_machine_text(bad)
+
+    def test_rejects_bad_tokens_with_line_number(self):
+        for bad in (
+            "states 1\n0 - X 0 -> H 0 S S . .\n",
+            "states 1\n0 - $ 0 -> H 0 Q S . .\n",
+            "states 1\n0 - $ 0 -> H 0 S S 7 .\n",
+            "states 1\n0 - $ z -> H 0 S S . .\n",
+        ):
+            with pytest.raises(MachineFormatError, match="line 2: bad entry"):
+                parse_machine_text(bad)
+        for bad in ("states\n", "states one\n", "states 1 2\n"):
+            with pytest.raises(MachineFormatError, match="line 1: bad states line"):
+                parse_machine_text(bad)
 
     def test_rejects_out_of_range_state(self):
         with pytest.raises(MachineFormatError):

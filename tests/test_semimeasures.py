@@ -7,6 +7,7 @@ is exact.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kolmo.exact_arith import Dyadic, ONE, ZERO
 from kolmo.semimeasures import (
@@ -104,6 +105,17 @@ class TestWorkedTraces:
             normalize(phi, 3)
         assert err.value.point[2] == 2
 
+    def test_violation_against_a_later_stage_identified(self):
+        def fn(x, y, k):
+            return dy(1, 1) if k >= 3 else dy(3, 2)   # 3/4 at stages 1-2 exceeds 1/2 at 3
+
+        phi = MonotoneApproximator(fn)
+        assert phi(1, 1, 3) == dy(1, 1)
+        with pytest.raises(MonotonicityError) as err:
+            phi(1, 1, 1)
+        assert err.value.point == (1, 1, 1)
+        assert phi(1, 1, 4) == dy(1, 1)   # the rejected sample left no trace
+
     def test_diverge_signal_freezes_stage(self):
         def fn(x, y, k):
             if k >= 3:
@@ -115,6 +127,79 @@ class TestWorkedTraces:
         assert snaps[1].values == {(1, 1): dy(1, 2), (1, 2): dy(1, 2), (2, 1): dy(1, 2), (2, 2): dy(1, 2)}
         for later in snaps[2:]:
             assert later.values == snaps[1].values
+
+
+class HistoryScanReferee:
+    """The whole-history scan: each new sample is compared with every
+    recorded sample of its (x, y).  Referee for the neighbour check in
+    MonotoneApproximator."""
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._memo = {}
+        self._history = {}
+
+    def __call__(self, x, y, k):
+        point = (x, y, k)
+        if point in self._memo:
+            return self._memo[point]
+        value = self._fn(x, y, k)
+        history = self._history.setdefault((x, y), [])
+        for kk, vv in history:
+            if (kk < k and vv > value) or (kk > k and vv < value):
+                raise MonotonicityError(x, y, k)
+        history.append((k, value))
+        history.sort(key=lambda kv: kv[0])
+        self._memo[point] = value
+        return value
+
+
+SIDE, STAGES = 2, 8
+
+
+@st.composite
+def stage_tables(draw):
+    """Per (x, y) in [1..SIDE]^2, values at stages 1..STAGES: sorted, then
+    in some cells the value at one stage drawn anew below (a dip) or
+    above (a spike) its sorted place."""
+    table = {}
+    for xy in [(x, y) for x in range(1, SIDE + 1) for y in range(1, SIDE + 1)]:
+        levels = sorted(draw(st.lists(st.integers(40, 100), min_size=STAGES, max_size=STAGES)))
+        kind = draw(st.sampled_from(["monotone", "dip", "spike"]))
+        if kind != "monotone":
+            i = draw(st.integers(0, STAGES - 1))
+            if kind == "dip":
+                levels[i] = draw(st.integers(0, levels[i] - 1))
+            else:
+                levels[i] = draw(st.integers(levels[i] + 1, 140))
+        table[xy] = levels
+    return table
+
+
+queries = st.lists(
+    st.tuples(st.integers(1, SIDE), st.integers(1, SIDE), st.integers(1, STAGES)),
+    min_size=10,
+    max_size=60,
+)
+
+
+class TestNeighbourCheckAgainstReferee:
+    @settings(max_examples=500, deadline=None)
+    @given(stage_tables(), queries)
+    def test_same_errors_and_values_as_whole_history_scan(self, table, points):
+        def fn(x, y, k):
+            return dy(table[(x, y)][k - 1], 4)
+
+        phi, referee = MonotoneApproximator(fn), HistoryScanReferee(fn)
+        for x, y, k in points:
+            try:
+                want = referee(x, y, k)
+            except MonotonicityError as err:
+                with pytest.raises(MonotonicityError) as got:
+                    phi(x, y, k)
+                assert got.value.point == err.point
+                continue
+            assert phi(x, y, k) == want
 
 
 class TestRandomizedClamping:
