@@ -136,7 +136,7 @@ def format_table(table: AprioriTable) -> str:
 def parse_table(text: str) -> AprioriTable:
     meta: dict[str, list[str]] = {}
     entries: dict[str, Dyadic] = {}
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip()
         if not line:
             continue
@@ -144,19 +144,24 @@ def parse_table(text: str) -> AprioriTable:
             fields = line[2:].split("\t")
             meta[fields[0]] = fields[1:]
             continue
-        x, val = line.split("\t")
-        entries[parse_word_text(x)] = Dyadic.parse(val)
-    try:
-        return AprioriTable(
-            machine_digest=meta["machine"][0],
-            machine_label=meta["machine"][1] if len(meta["machine"]) > 1 else "",
-            aux=parse_word_text(meta["aux"][0]),
-            stage=int(meta["stage"][0]),
-            length_bound=int(meta["length_bound"][0]),
-            entries=entries,
-        )
-    except KeyError as e:
-        raise ProvenanceError(f"table header missing {e}") from None
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ValueError(f"line {n}: need x<TAB>mass")
+        entries[parse_word_text(fields[0])] = Dyadic.parse(fields[1])
+
+    def first(key: str) -> str:
+        if not meta.get(key):
+            raise ProvenanceError(f"table header missing {key!r}" + (" value" if key in meta else ""))
+        return meta[key][0]
+
+    return AprioriTable(
+        machine_digest=first("machine"),
+        machine_label=meta["machine"][1] if len(meta["machine"]) > 1 else "",
+        aux=parse_word_text(first("aux")),
+        stage=int(first("stage")),
+        length_bound=int(first("length_bound")),
+        entries=entries,
+    )
 
 
 def save_table(table: AprioriTable, path) -> None:

@@ -18,7 +18,6 @@ __all__ = [
     "DyadicError",
     "ZERO",
     "ONE",
-    "HALF",
     "Interval",
     "BinaryInterval",
     "largest_binary_subinterval",
@@ -192,7 +191,6 @@ def _coerce(v) -> "Dyadic":
 
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
-HALF = Dyadic(1, 1)
 
 
 @dataclass(frozen=True)

@@ -168,23 +168,18 @@ def _check_event_coder():
     for _ in range(30):
         n = rng.randint(1, 6)
         budget = 1 << 6
-        levels = {}
+        rows = []
         targets = {}
         for i in range(n):
             take = rng.randint(1, max(1, budget // (n - i + 1)))
             budget -= take
             target = Dyadic(take, 6)
             climb = sorted(rng.randint(1, take) for _ in range(rng.randint(0, 3)))
-            levels[(i + 1, 1)] = [Dyadic(c, 6) for c in climb] + [target]
+            levels = [Dyadic(c, 6) for c in climb] + [target]
+            rows += [(i + 1, 1, t, v) for t, v in enumerate(levels, 1)]
             targets[i + 1] = target
 
-        def fn(x, y, t, data=levels):
-            seq = data.get((x, y), ())
-            if not seq:
-                return ZERO
-            return seq[min(t, len(seq)) - 1]
-
-        phi = MonotoneApproximator(fn)
+        phi = MonotoneApproximator.from_table(rows)
         book = build_codebook(phi, "", 24)
         sums = {}
         for _, _, iv, ev in book.entries:

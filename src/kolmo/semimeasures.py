@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .codes import nat_to_string
@@ -27,7 +27,6 @@ from .exact_arith import Dyadic, ONE, ZERO
 __all__ = [
     "DivergeSignal",
     "MonotonicityError",
-    "StageMismatchError",
     "WeightError",
     "MonotoneApproximator",
     "ConditionalSemimeasure",
@@ -58,10 +57,6 @@ class MonotonicityError(ValueError):
         self.point = (x, y, k)
 
 
-class StageMismatchError(ValueError):
-    pass
-
-
 class WeightError(ValueError):
     pass
 
@@ -69,73 +64,79 @@ class WeightError(ValueError):
 class MonotoneApproximator:
     """Total stage function (x, y, k) -> Dyadic, x, y, k >= 1.
 
-    Values are memoized and validated at query time: a value smaller
-    than one recorded at a lower stage (or larger than one at a higher
-    stage) raises MonotonicityError naming the point.  Each (x, y) keeps
-    its recorded stages sorted, and every accepted value passed this
-    check, so the recorded values are monotone too: a new point is
-    checked against its two sorted neighbours only, in O(log n) for n
-    recorded stages.
+    Values are validated at query time: a value smaller than one
+    recorded at a lower stage (or larger than one at a higher stage)
+    raises MonotonicityError naming the point.  Each (x, y) keeps its
+    accepted samples as a staircase, stages sorted with their values in
+    a parallel list, and that history is also the memo: a repeated point
+    is answered from it without calling ``fn`` again.  Every recorded
+    value passed the check, so the recorded values are monotone too: a
+    new point is checked against its two sorted neighbours only, in
+    O(log n) for n recorded stages.
     """
 
     def __init__(self, fn, name: str = "phi"):
         self._fn = fn
         self.name = name
-        self._memo: dict[tuple[int, int, int], Dyadic] = {}
         # (x, y) -> (sorted stages, their values), parallel lists
         self._history: dict[tuple[int, int], tuple[list[int], list[Dyadic]]] = {}
 
     def __call__(self, x: int, y: int, k: int) -> Dyadic:
         if min(x, y, k) < 1:
             raise ValueError("arguments start at 1")
-        point = (x, y, k)
-        if point in self._memo:
-            return self._memo[point]
+        stair = self._history.get((x, y))
+        stages, values = stair if stair is not None else ([], [])
+        i = bisect_left(stages, k)
+        if i < len(stages) and stages[i] == k:
+            return values[i]
         value = self._fn(x, y, k)
         if not isinstance(value, Dyadic):
             raise TypeError(f"{self.name} returned {value!r}, need a Dyadic")
-        stages, values = self._history.setdefault((x, y), ([], []))
-        i = bisect_left(stages, k)
         if (i > 0 and values[i - 1] > value) or (i < len(stages) and values[i] < value):
             raise MonotonicityError(x, y, k)
+        if stair is None:
+            self._history[(x, y)] = (stages, values)
         stages.insert(i, k)
         values.insert(i, value)
-        self._memo[point] = value
         return value
 
     @classmethod
     def from_table(cls, rows, name: str = "phi") -> "MonotoneApproximator":
         """Staircase through listed points: the value at stage k is the
         value at the largest listed k' <= k, zero before the first."""
-        points: dict[tuple[int, int], list[tuple[int, Dyadic]]] = {}
-        for x, y, k, v in rows:
-            points.setdefault((x, y), []).append((k, v))
-        for steps in points.values():
-            steps.sort(key=lambda kv: kv[0])
-
-        def fn(x: int, y: int, k: int) -> Dyadic:
-            value = ZERO
-            for kk, vv in points.get((x, y), ()):
-                if kk > k:
-                    break
-                value = vv
-            return value
-
-        return cls(fn, name=name)
+        stairs: dict[tuple[int, int], tuple[list[int], list[Dyadic]]] = {}
+        # a stable sort keeps rows of equal stage in their listed order
+        for x, y, k, v in sorted(rows, key=lambda row: row[2]):
+            stages, values = stairs.setdefault((x, y), ([], []))
+            stages.append(k)
+            values.append(v)
+        return cls(lambda x, y, k: _stair_value(stairs.get((x, y), ((), ())), k), name=name)
 
     @classmethod
     def constant(cls, value: Dyadic, name: str = "const") -> "MonotoneApproximator":
         return cls(lambda x, y, k: value, name=name)
 
 
+def _stair_value(stair, k: int) -> Dyadic:
+    """Stage k of a staircase (stages sorted, values parallel): the last
+    listed value at a stage <= k, zero before the first stage."""
+    stages, values = stair
+    i = bisect_right(stages, k)
+    return values[i - 1] if i else ZERO
+
+
 def load_approximator_csv(text: str, name: str = "phi") -> MonotoneApproximator:
     """Rows of ``x,y,k,num/2^exp``."""
     rows = []
-    for rec in csv.reader(io.StringIO(text)):
+    reader = csv.reader(io.StringIO(text))
+    for rec in reader:
         if not rec or rec[0].lstrip().startswith("#"):
             continue
-        x, y, k, v = (f.strip() for f in rec)
-        rows.append((int(x), int(y), int(k), Dyadic.parse(v)))
+        try:
+            x, y, k, v = (f.strip() for f in rec)
+            rows.append((int(x), int(y), int(k), Dyadic.parse(v)))
+        except ValueError:   # a short or long row, a non-integer, a bad dyadic
+            raise ValueError(f"line {reader.line_num}: need x,y,k,num/2^exp") from None
     return MonotoneApproximator.from_table(rows, name=name)
 
 
@@ -180,16 +181,12 @@ def normalize_stages(phi: MonotoneApproximator, max_stage: int, per_column: bool
             if sum((grid[(i, j)] for i in range(1, k + 1)), ZERO) > ONE:
                 bad.add(j)
         violated |= bad
-        if per_column:
+        # column sums of a monotone stream never fall, so a plain stage
+        # with no bad column has no violated column to skip either
+        if per_column or not bad:
             for (i, j), v in grid.items():
                 if j in violated:
                     continue
-                if v.is_zero:
-                    values.pop((i, j), None)
-                else:
-                    values[(i, j)] = v
-        elif not bad:
-            for (i, j), v in grid.items():
                 if v.is_zero:
                     values.pop((i, j), None)
                 else:
@@ -274,13 +271,10 @@ def check_domination(
     m: ConditionalSemimeasure,
     spec: MixtureSpec,
     domain,
-    stage: int | None = None,
     per_column: bool = False,
 ) -> bool:
     """Exact check that the mixture dominates each weighted component on
     the given (x, y) domain."""
-    if stage is not None and stage != m.stage:
-        raise StageMismatchError(f"mixture built at stage {m.stage}, asked to check at {stage}")
     tables = _component_tables(spec, m.stage, per_column)
     for weight, table in zip(spec.weights, tables):
         for x, y in domain:

@@ -28,13 +28,14 @@ the condition on its auxiliary tape needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .apriori import approx_apriori
 from .codes import index_word, parse_word_text, word_index, word_text
 from .complexity import approx_k
 from .exact_arith import Dyadic, Interval, ONE, ZERO, largest_binary_subinterval
 from .prefix_vm import HALT, NO_BIT, PrefixMachine, dovetail
-from .semimeasures import MixtureSpec, MonotoneApproximator, mixture
+from .semimeasures import ConditionalSemimeasure, MixtureSpec, MonotoneApproximator, _stair_value, mixture, normalize_stages
 
 __all__ = [
     "AllocationOverflowError",
@@ -283,37 +284,40 @@ def codebook_to_machine(book: CodeBook, name: str = "") -> PrefixMachine:
 def machine_mass_stream(m: PrefixMachine, max_stage: int, length_bound: int) -> MonotoneApproximator:
     """The machine's accumulated output mass as a stage function: value at
     (x, y, t) is the mass of word(x) under condition word(y) after
-    dovetail stage min(t, max_stage)."""
-    cache: dict[int, dict[str, list[tuple[int, Dyadic]]]] = {}
+    dovetail stage t (no event comes after stage ``max_stage``)."""
+    # y index -> x index -> staircase (event stages, accumulated masses)
+    cache: dict[int, dict[int, tuple[list[int], list[Dyadic]]]] = {}
 
-    def staircase(y_index: int) -> dict[str, list[tuple[int, Dyadic]]]:
+    def staircase(y_index: int) -> dict[int, tuple[list[int], list[Dyadic]]]:
         if y_index not in cache:
-            aux = index_word(y_index)
-            acc: dict[str, Dyadic] = {}
-            stairs: dict[str, list[tuple[int, Dyadic]]] = {}
-            for ev in dovetail(m, aux, max_stage):
-                if len(ev.program) > length_bound:
-                    continue
-                acc[ev.output] = acc.get(ev.output, ZERO) + Dyadic.pow2(len(ev.program))
-                stairs.setdefault(ev.output, []).append((ev.stage, acc[ev.output]))
+            stairs: dict[int, tuple[list[int], list[Dyadic]]] = {}
+            for ev in dovetail(m, index_word(y_index), max_stage):
+                if len(ev.program) <= length_bound:
+                    stages, values = stairs.setdefault(word_index(ev.output), ([], []))
+                    stages.append(ev.stage)
+                    values.append((values[-1] if values else ZERO) + Dyadic.pow2(len(ev.program)))
             cache[y_index] = stairs
         return cache[y_index]
 
     def fn(x: int, y: int, t: int) -> Dyadic:
-        stairs = staircase(y).get(index_word(x), ())
-        value = ZERO
-        for stage, v in stairs:
-            if stage > min(t, max_stage):
-                break
-            value = v
-        return value
+        return _stair_value(staircase(y).get(x, ((), ())), t)
 
     return MonotoneApproximator(fn, name=f"mass:{m.label}")
 
 
 def mixture_mass_stream(spec: MixtureSpec, max_stage: int) -> MonotoneApproximator:
-    """Stage function of a mixture: the mixture table cut off at stage t."""
-    tables = {t: mixture(spec, t) for t in range(1, max_stage + 1)}
+    """Stage function of a mixture: the mixture table cut off at stage t.
+    One clamping pass per stream component gives its stage-t tables;
+    table components enter every stage as they are."""
+    MixtureSpec(spec.components)   # re-validate, as mixture does
+    passes = [
+        repeat(comp) if isinstance(comp, ConditionalSemimeasure) else normalize_stages(comp, max_stage)
+        for _, comp in spec.components
+    ]
+    tables = {}
+    for t in range(1, max_stage + 1):
+        stage_t = tuple((e, next(tables_of)) for (e, _), tables_of in zip(spec.components, passes))
+        tables[t] = mixture(MixtureSpec(stage_t), t)
 
     def fn(x: int, y: int, t: int) -> Dyadic:
         return tables[min(t, max_stage)].mass(x, y)
@@ -423,7 +427,7 @@ def parse_codebook(text: str) -> CodeBook:
     provenance = ""
     cursor = ZERO
     entries = []
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip()
         if not line:
             continue
@@ -436,7 +440,10 @@ def parse_codebook(text: str) -> CodeBook:
             elif key == "cursor":
                 cursor = Dyadic.parse(val)
             continue
-        sym, word, lo, hi = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValueError(f"line {n}: need symbol<TAB>codeword<TAB>lo<TAB>hi")
+        sym, word, lo, hi = fields
         iv = Interval(Dyadic.parse(lo), Dyadic.parse(hi))
         mass = iv.length + iv.length
         entries.append((parse_word_text(sym), parse_word_text(word), iv, PsiEvent(parse_word_text(sym), aux, 0, mass)))

@@ -165,6 +165,40 @@ class TestPipelines:
         assert "components" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_semimeasure_short_csv_row_names_its_line(self, tmp_path):
+        phi = tmp_path / "short.csv"
+        phi.write_text("# x,y,k,v\n1,1,1\n")
+        proc = kolmo("semimeasure", "normalize", "--phi", str(phi), check=False)
+        assert proc.returncode == 1
+        assert "line 2: need x,y,k,num/2^exp" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_apriori_table_header_without_value(self, tmp_path):
+        table = tmp_path / "t.tsv"
+        table.write_text("# machine\n")
+        proc = kolmo("apriori", "-m", "ident", "--table", str(table), check=False)
+        assert proc.returncode == 1
+        assert "table header missing 'machine' value" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_apriori_table_row_with_wrong_field_count(self, tmp_path):
+        table = tmp_path / "t.tsv"
+        kolmo("apriori", "-m", "ident", "--max-stage", "50", "-L", "6", "--table", str(table))
+        table.write_text(table.read_text() + "0\t1/2^3\textra\n")
+        lines = table.read_text().count("\n")
+        proc = kolmo("apriori", "-m", "ident", "--table", str(table), check=False)
+        assert proc.returncode == 1
+        assert f"line {lines}: need x<TAB>mass" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_codebook_row_with_wrong_field_count(self, tmp_path):
+        book = tmp_path / "book.tsv"
+        book.write_text("# aux\t-\n0\t1\t0/2^0\n")
+        proc = kolmo("code", "encode", "--book", str(book), "--x", "0", check=False)
+        assert proc.returncode == 1
+        assert "line 2: need symbol<TAB>codeword<TAB>lo<TAB>hi" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_demo_condition_set(self):
         out = kolmo(
             "demo", "condition-set", "-m", "ident", "--members", ",0",

@@ -16,7 +16,6 @@ from kolmo.semimeasures import (
     MixtureSpec,
     MonotoneApproximator,
     MonotonicityError,
-    StageMismatchError,
     WeightError,
     bar_weight_exponents,
     check_domination,
@@ -202,6 +201,106 @@ class TestNeighbourCheckAgainstReferee:
             assert phi(x, y, k) == want
 
 
+class TestHistoryIsTheMemo:
+    def test_repeated_point_does_not_call_fn(self):
+        calls = []
+
+        def fn(x, y, k):
+            calls.append((x, y, k))
+            return dy(k, 4)
+
+        phi = MonotoneApproximator(fn)
+        for x, y, k in [(1, 1, 3), (1, 1, 1), (2, 1, 3), (1, 1, 3), (1, 1, 1), (2, 1, 3)]:
+            assert phi(x, y, k) == dy(k, 4)
+        assert calls == [(1, 1, 3), (1, 1, 1), (2, 1, 3)]
+
+    def test_rejected_point_is_not_recorded(self):
+        calls = []
+
+        def fn(x, y, k):
+            calls.append(k)
+            return ZERO if k == 3 else dy(1, 1)
+
+        phi = MonotoneApproximator(fn)
+        assert phi(1, 1, 1) == dy(1, 1)
+        for _ in range(2):
+            with pytest.raises(MonotonicityError):
+                phi(1, 1, 3)
+        assert calls == [1, 3, 3]
+        # a recorded stage-3 zero would reject 1/2 at stage 2
+        assert phi(1, 1, 2) == dy(1, 1)
+
+    def test_wrong_type_and_divergence_are_not_recorded(self):
+        calls = []
+
+        def fn(x, y, k):
+            calls.append(k)
+            if k == 1:
+                return "1/2^1"
+            raise DivergeSignal
+
+        phi = MonotoneApproximator(fn)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                phi(1, 1, 1)
+            with pytest.raises(DivergeSignal):
+                phi(1, 1, 2)
+        assert calls == [1, 2, 1, 2]
+
+
+def linear_scan_table(rows):
+    """The linear staircase scan ``from_table`` used before its stairs
+    were read by bisection; referee for that lookup."""
+    points = {}
+    for x, y, k, v in rows:
+        points.setdefault((x, y), []).append((k, v))
+    for steps in points.values():
+        steps.sort(key=lambda kv: kv[0])
+
+    def fn(x, y, k):
+        value = ZERO
+        for kk, vv in points.get((x, y), ()):
+            if kk > k:
+                break
+            value = vv
+        return value
+
+    return fn
+
+
+table_rows = st.lists(
+    st.tuples(
+        st.integers(1, SIDE), st.integers(1, SIDE), st.integers(-2, STAGES), st.integers(0, 12)
+    ).map(lambda r: (r[0], r[1], r[2], dy(r[3], 3))),
+    max_size=24,
+)
+
+
+class TestFromTableAgainstLinearScan:
+    @settings(max_examples=400, deadline=None)
+    @given(table_rows, queries)
+    def test_same_errors_and_values(self, rows, points):
+        # unsorted rows, repeated stages and stages <= 0 all come up;
+        # among rows of one stage the last listed one counts
+        phi = MonotoneApproximator.from_table(rows)
+        referee = MonotoneApproximator(linear_scan_table(rows))
+        for x, y, k in points:
+            try:
+                want = referee(x, y, k)
+            except MonotonicityError as err:
+                with pytest.raises(MonotonicityError) as got:
+                    phi(x, y, k)
+                assert got.value.point == err.point
+                continue
+            assert phi(x, y, k) == want
+
+    def test_last_listed_row_wins_at_a_repeated_stage(self):
+        rows = [(1, 1, 2, dy(1, 2)), (1, 1, 0, dy(1, 3)), (1, 1, 2, dy(1, 1))]
+        phi = MonotoneApproximator.from_table(rows)
+        assert [phi(1, 1, k) for k in (1, 2, 3)] == [dy(1, 3), dy(1, 1), dy(1, 1)]
+        assert phi(2, 1, 3) == ZERO
+
+
 class TestRandomizedClamping:
     def test_column_sums_never_exceed_one(self):
         for seed in range(40):
@@ -382,10 +481,3 @@ class TestDomination:
             weight_sum = sum((w for w in spec.weights), ZERO)
             for y in range(1, 6):
                 assert m.column_sum(y) <= weight_sum <= ONE
-
-    def test_stage_mismatch(self):
-        phi = staircase_stream(3)
-        spec = MixtureSpec(((0, phi),))
-        m = mixture(spec, 4)
-        with pytest.raises(StageMismatchError):
-            check_domination(m, spec, [(1, 1)], stage=5)

@@ -11,11 +11,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from kolmo.codes import index_word, is_prefix_free, kraft_sum
+from kolmo.codes import index_word, is_prefix_free, kraft_sum, word_index
 from kolmo.exact_arith import Dyadic, ONE, ZERO
-from kolmo.fixtures import load_fixture
-from kolmo.prefix_vm import Outcome, run
-from kolmo.semimeasures import MixtureSpec, MonotoneApproximator
+from kolmo.fixtures import fixture_names, load_fixture
+from kolmo.prefix_vm import Outcome, dovetail, run
+from kolmo.semimeasures import (
+    ConditionalSemimeasure,
+    MixtureSpec,
+    MonotoneApproximator,
+    MonotonicityError,
+    WeightError,
+    bar_weight_exponents,
+    mixture,
+)
 from kolmo.sf_coder import (
     AllocationOverflowError,
     AuxMismatchError,
@@ -26,6 +34,7 @@ from kolmo.sf_coder import (
     decode,
     format_codebook,
     machine_mass_stream,
+    mixture_mass_stream,
     parse_codebook,
     per_condition_schedule,
     psi_discretize,
@@ -392,3 +401,117 @@ class TestGapReports:
             word = book.codeword(sym)
             assert word is not None
             assert Dyadic.pow2(len(word)) * dy(8) >= dy(1, 1)
+
+
+# -- the mass streams against the stage functions they replaced -------------
+
+def scanning_machine_stream(m, max_stage, length_bound):
+    """The per-word scanning stream: stairs keyed by output word, x
+    turned into its word on every sample, a linear scan up to stage
+    min(t, max_stage).  Referee for machine_mass_stream."""
+    cache = {}
+
+    def staircase(y_index):
+        if y_index not in cache:
+            acc, stairs = {}, {}
+            for ev in dovetail(m, index_word(y_index), max_stage):
+                if len(ev.program) > length_bound:
+                    continue
+                acc[ev.output] = acc.get(ev.output, ZERO) + Dyadic.pow2(len(ev.program))
+                stairs.setdefault(ev.output, []).append((ev.stage, acc[ev.output]))
+            cache[y_index] = stairs
+        return cache[y_index]
+
+    def fn(x, y, t):
+        value = ZERO
+        for stage, v in staircase(y).get(index_word(x), ()):
+            if stage > min(t, max_stage):
+                break
+            value = v
+        return value
+
+    return MonotoneApproximator(fn)
+
+
+def restaged_mixture_stream(spec, max_stage):
+    """The mixture rebuilt from stage 1 for every t.  Referee for
+    mixture_mass_stream."""
+    tables = {t: mixture(spec, t) for t in range(1, max_stage + 1)}
+    return MonotoneApproximator(lambda x, y, t: tables[min(t, max_stage)].mass(x, y))
+
+
+class TestMassStreamsAgainstReferees:
+    # the fixtures' programs are 0-3 bits long, and some of them halt at
+    # exactly stage 10 (copy2), 16 (twoway), 18 or 66 (ident): these
+    # bounds cut programs off and end the dovetailing on a halting stage
+    BOUNDS = [(60, 6), (60, 2), (10, 2), (16, 3), (18, 3), (66, 3)]
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_machine_stream_matches_scanning_stream(self, name):
+        m = load_fixture(name)
+        for max_stage, length_bound in self.BOUNDS:
+            for aux in ("", "1"):
+                y = word_index(aux)
+                outputs = {ev.output for ev in dovetail(m, aux, max_stage)}
+                max_x = max((word_index(w) for w in outputs), default=1) + 2
+                mine = machine_mass_stream(m, max_stage, length_bound)
+                referee = scanning_machine_stream(m, max_stage, length_bound)
+                for x in range(1, max_x + 1):
+                    for t in range(1, max_stage + 3):
+                        assert mine(x, y, t) == referee(x, y, t), (name, max_stage, length_bound, aux, x, t)
+
+    def mixture_specs(self):
+        rng = random.Random(2718)
+        for trial in range(12):
+            comps = []
+            for e in bar_weight_exponents(rng.randint(1, 4)):
+                rows = []
+                for x, y in rng.sample([(x, y) for x in range(1, 5) for y in range(1, 5)], rng.randint(0, 6)):
+                    stages = sorted(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
+                    values = sorted(rng.randint(0, 9) for _ in stages)
+                    if rng.random() < 0.1:
+                        values.reverse()   # not monotone: both streams must raise alike
+                    rows += [(x, y, k, dy(v, 3)) for k, v in zip(stages, values)]
+                # some columns overflow, freezing a stream's clamping pass
+                if rng.random() < 0.4:
+                    comps.append((e, ConditionalSemimeasure({(x, y): v for x, y, _, v in rows}, stage=6)))
+                else:
+                    comps.append((e, MonotoneApproximator.from_table(rows)))
+            yield MixtureSpec(tuple(comps))
+        yield MixtureSpec(())
+
+    def test_mixture_stream_matches_restaged_mixture(self):
+        max_stage = 6
+        specs = list(self.mixture_specs())
+        # the same specs drawn twice, so each stream samples fresh approximators
+        for spec, again in zip(specs, self.mixture_specs()):
+            try:
+                referee = restaged_mixture_stream(spec, max_stage)
+            except MonotonicityError as err:
+                with pytest.raises(MonotonicityError) as got:
+                    mixture_mass_stream(again, max_stage)
+                assert got.value.point == err.point
+                continue
+            mine = mixture_mass_stream(again, max_stage)
+            for x in range(1, 6):
+                for y in range(1, 6):
+                    for t in range(1, max_stage + 3):
+                        assert mine(x, y, t) == referee(x, y, t), (spec, x, y, t)
+
+    def test_overweight_spec_raises_the_same_weight_error_before_sampling(self):
+        calls = []
+
+        def fn(x, y, k):
+            calls.append((x, y, k))
+            return ONE
+
+        table = ConditionalSemimeasure({(1, 1): ONE}, stage=3)
+        spec = MixtureSpec(((1, table),))
+        # specs validate on construction; this one is overweight all the same
+        object.__setattr__(spec, "components", ((0, table), (1, MonotoneApproximator(fn))))
+        with pytest.raises(WeightError) as want:
+            restaged_mixture_stream(spec, 3)
+        with pytest.raises(WeightError) as got:
+            mixture_mass_stream(spec, 3)
+        assert str(got.value) == str(want.value)
+        assert calls == []
