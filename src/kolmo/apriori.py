@@ -154,12 +154,18 @@ def parse_table(text: str) -> AprioriTable:
             raise ProvenanceError(f"table header missing {key!r}" + (" value" if key in meta else ""))
         return meta[key][0]
 
+    def integer(key: str) -> int:
+        try:
+            return int(first(key))
+        except ValueError:
+            raise ProvenanceError(f"table header {key!r} needs an integer, got {first(key)!r}") from None
+
     return AprioriTable(
         machine_digest=first("machine"),
         machine_label=meta["machine"][1] if len(meta["machine"]) > 1 else "",
         aux=parse_word_text(first("aux")),
-        stage=int(first("stage")),
-        length_bound=int(first("length_bound")),
+        stage=integer("stage"),
+        length_bound=integer("length_bound"),
         entries=entries,
     )
 

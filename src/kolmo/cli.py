@@ -428,14 +428,16 @@ def cmd_demo(args) -> int:
 
         text = Path(args.joint).read_text()
         out.note_input("joint", text)
-        entries = {}
-        for line in text.splitlines():
+        rows = []
+        for n, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            x, y, v = line.split("\t")
-            entries[(_word(x), _word(y))] = Dyadic.parse(v)
-        table = JointTable.of(entries)
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"line {n}: need x<TAB>y<TAB>mass")
+            rows.append(((_word(fields[0]), _word(fields[1])), Dyadic.parse(fields[2])))
+        table = JointTable(tuple(sorted(rows, key=lambda row: row[0])))   # rejects repeated points
         q = quotient_conditional(table, _word(args.x), _word(args.y))
         out.write(f"{q.numerator}/{q.denominator}\n")
         out.finish()

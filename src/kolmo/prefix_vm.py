@@ -24,8 +24,8 @@ carries its output and bit count so callers can see that the consumed
 prefix is the true program).  Under this rule the set of accepted
 programs of any machine is prefix-free by construction.  Divergence
 that is provable (stuck situation, or an exact repeat of the dynamic
-state with no intervening read) is reported as ``OUT_OF_FUEL`` at once,
-since no budget would ever see it halt.
+state with no intervening read) is reported as ``OUT_OF_FUEL``, a loop of
+lead-in mu and period lam within 3(mu + lam) steps of the last read.
 
 Binary description format
 -------------------------
@@ -214,9 +214,9 @@ class _Sim:
         return c
 
     def snapshot(self):
-        # translation-invariant dynamic state: work cells relative to the
-        # head; output is excluded because it cannot feed back
-        cells = tuple(sorted((p - self.work_pos, s) for p, s in self.work.items()))
+        # translation-invariant dynamic state: marked cells (all ``work``
+        # holds) relative to the head; output cannot feed back, so it is out
+        cells = frozenset(p - self.work_pos for p in self.work)
         return (self.state, self.pending, self.aux_pos, cells)
 
 
@@ -226,7 +226,7 @@ def _aux_sym(aux: str, pos: int) -> int:
     return int(aux[pos])
 
 
-_RUNNING, _STUCK, _READ = range(3)
+_RUNNING, _STUCK, _READ, _HALTED, _FUEL, _LOOP = range(6)
 
 
 def _step(m: PrefixMachine, sim: _Sim, aux: str) -> int:
@@ -249,6 +249,28 @@ def _step(m: PrefixMachine, sim: _Sim, aux: str) -> int:
     return _READ if read else _RUNNING
 
 
+def _advance(m: PrefixMachine, sim: _Sim, aux: str, step_budget: int) -> int:
+    """Step ``sim`` until it halts, requests a read (left to the caller),
+    gets stuck, spends ``step_budget`` or repeats its dynamic state, which
+    is checked against one checkpoint retaken 1, 2, 4, ... steps in (Brent
+    1980) so that memory stays linear in the steps taken."""
+    mark = sim.snapshot()
+    n = 0
+    while sim.state != HALT:
+        if sim.steps >= step_budget:
+            return _FUEL
+        status = _step(m, sim, aux)
+        if status != _RUNNING:
+            return status
+        n += 1
+        # cheap fields first: most steps change the state or the mark count
+        if sim.state == mark[0] and len(sim.work) == len(mark[3]) and sim.snapshot() == mark:
+            return _LOOP
+        if n & (n - 1) == 0:
+            mark = sim.snapshot()
+    return _HALTED
+
+
 def run(m: PrefixMachine, program: str, aux: str, step_budget: int) -> RunOutcome:
     """Run on exactly ``program`` with ``aux`` on the auxiliary tape."""
     if step_budget < 1:
@@ -256,27 +278,15 @@ def run(m: PrefixMachine, program: str, aux: str, step_budget: int) -> RunOutcom
     if program.strip("01") or aux.strip("01"):
         raise ValueError("program and aux must be binary words")
     sim = _Sim()
-    seen = {sim.snapshot()}
-    while True:
-        if sim.steps >= step_budget:
-            return RunOutcome(Outcome.OUT_OF_FUEL)
-        status = _step(m, sim, aux)
-        if status == _STUCK:
-            return RunOutcome(Outcome.OUT_OF_FUEL)
-        if status == _READ:
-            if sim.bits_read == len(program):
-                return RunOutcome(Outcome.PAST_END, None, sim.bits_read)
-            sim.pending = int(program[sim.bits_read])
-            sim.bits_read += 1
-            seen = set()
-        if sim.state == HALT:
-            output = "".join(sim.out)
-            kind = Outcome.HALTED if sim.bits_read == len(program) else Outcome.PAST_END
-            return RunOutcome(kind, output, sim.bits_read)
-        snap = sim.snapshot()
-        if snap in seen:
-            return RunOutcome(Outcome.OUT_OF_FUEL)
-        seen.add(snap)
+    while (status := _advance(m, sim, aux, step_budget)) == _READ:
+        if sim.bits_read == len(program):
+            return RunOutcome(Outcome.PAST_END, None, sim.bits_read)
+        sim.pending = int(program[sim.bits_read])
+        sim.bits_read += 1
+    if status != _HALTED:
+        return RunOutcome(Outcome.OUT_OF_FUEL)
+    kind = Outcome.HALTED if sim.bits_read == len(program) else Outcome.PAST_END
+    return RunOutcome(kind, "".join(sim.out), sim.bits_read)
 
 
 @dataclass(frozen=True)
@@ -306,31 +316,15 @@ def halting_programs(m: PrefixMachine, aux: str, length_bound: int, step_budget:
     stack: list[tuple[_Sim, str]] = [(_Sim(), "")]
     while stack:
         sim, prefix = stack.pop()
-        seen = {sim.snapshot()}
-        while True:
-            if sim.state == HALT:
-                leaves.append(HaltLeaf(prefix, "".join(sim.out), sim.steps))
-                break
-            if sim.steps >= step_budget:
-                break
-            status = _step(m, sim, aux)
-            if status == _STUCK:
-                break
-            if status == _READ:
-                if len(prefix) < length_bound:
-                    for bit in (1, 0):
-                        child = sim.clone()
-                        child.pending = bit
-                        child.bits_read += 1
-                        stack.append((child, prefix + ("1" if bit else "0")))
-                break
-            if sim.state == HALT:
-                leaves.append(HaltLeaf(prefix, "".join(sim.out), sim.steps))
-                break
-            snap = sim.snapshot()
-            if snap in seen:
-                break
-            seen.add(snap)
+        status = _advance(m, sim, aux, step_budget)
+        if status == _HALTED:
+            leaves.append(HaltLeaf(prefix, "".join(sim.out), sim.steps))
+        elif status == _READ and len(prefix) < length_bound:
+            for bit in (1, 0):
+                child = sim.clone()
+                child.pending = bit
+                child.bits_read += 1
+                stack.append((child, prefix + ("1" if bit else "0")))
     leaves.sort(key=lambda l: (len(l.program), l.program))
     return tuple(leaves)
 

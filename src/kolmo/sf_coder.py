@@ -309,6 +309,8 @@ def mixture_mass_stream(spec: MixtureSpec, max_stage: int) -> MonotoneApproximat
     """Stage function of a mixture: the mixture table cut off at stage t.
     One clamping pass per stream component gives its stage-t tables;
     table components enter every stage as they are."""
+    if max_stage < 1:
+        raise ValueError("max_stage must be positive")
     MixtureSpec(spec.components)   # re-validate, as mixture does
     passes = [
         repeat(comp) if isinstance(comp, ConditionalSemimeasure) else normalize_stages(comp, max_stage)

@@ -199,6 +199,36 @@ class TestPipelines:
         assert "line 2: need symbol<TAB>codeword<TAB>lo<TAB>hi" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_apriori_table_header_needs_an_integer(self, tmp_path):
+        table = tmp_path / "t.tsv"
+        kolmo("apriori", "-m", "ident", "--max-stage", "50", "-L", "6", "--table", str(table))
+        good = table.read_text()
+        for key in ("stage", "length_bound"):
+            line = next(l for l in good.splitlines() if l.startswith(f"# {key}\t"))
+            table.write_text(good.replace(line, f"# {key}\tabc"))
+            proc = kolmo("apriori", "-m", "ident", "--table", str(table), check=False)
+            assert proc.returncode == 1
+            assert f"table header '{key}' needs an integer, got 'abc'" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_demo_quotient_row_with_wrong_field_count(self, tmp_path):
+        joint = tmp_path / "joint.tsv"
+        joint.write_text("# x y mass\n0\t0\t1/2^1\n0\t1/2^2\n")
+        proc = kolmo("demo", "quotient", "--joint", str(joint), "--x", "0", "--y", "0", check=False)
+        assert proc.returncode == 1
+        assert "line 3: need x<TAB>y<TAB>mass" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_demo_quotient_rejects_a_repeated_point(self, tmp_path):
+        joint = tmp_path / "joint.tsv"
+        joint.write_text("0\t0\t1/2^1\n1\t0\t1/2^2\n0\t0\t1/2^2\n")
+        proc = kolmo("demo", "quotient", "--joint", str(joint), "--x", "0", "--y", "0", check=False)
+        assert proc.returncode == 1
+        assert "duplicate joint points" in proc.stderr
+        assert proc.stdout == ""
+        joint.write_text("0\t0\t1/2^1\n1\t0\t1/2^2\n")
+        assert kolmo("demo", "quotient", "--joint", str(joint), "--x", "0", "--y", "0").stdout == "2/3\n"
+
     def test_demo_condition_set(self):
         out = kolmo(
             "demo", "condition-set", "-m", "ident", "--members", ",0",

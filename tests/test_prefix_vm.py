@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from kolmo import prefix_vm
 from kolmo.codes import bar_encode, is_prefix_free, nat_to_string, word_index
 from kolmo.fixtures import fixture_names, load_fixture
 from kolmo.prefix_vm import (
@@ -133,6 +134,143 @@ class TestHaltingPrograms:
         for i in range(9, 9 + 3 * cap):
             halting_programs(enumerate_machines(i), "", 4, 32)
         assert halting_programs.cache_info().currsize <= cap
+
+
+def chain_looper(mu, lam):
+    """States 0..mu+lam-1 in a row, the last one going back to state mu:
+    no tape, no reads, lead-in mu, period lam."""
+    lines = [f"states {mu + lam}"]
+    for q in range(mu + lam):
+        nxt = q + 1 if q + 1 < mu + lam else mu
+        lines.append(f"{q} - * * -> {nxt} 0 S S . .")
+    return parse_machine_text("\n".join(lines) + "\n")
+
+
+# writes a block of three 1s, then bounces at its right end, clearing and
+# rewriting its last cell: lead-in 3, period 4 (states 3 -> 4 -> 5 -> 6 -> 3)
+WRITING_BOUNCER = """states 7
+0 - * * -> 1 1 R S . .
+1 - * * -> 2 1 R S . .
+2 - * * -> 3 1 R S . .
+3 - * 0 -> 4 0 L S . .
+4 - * 1 -> 5 0 R S . .
+5 - * 0 -> 6 0 L S . .
+6 - * 0 -> 3 1 R S . .
+"""
+
+# WRITING_BOUNCER after one read, with its states shifted by one
+READING_BOUNCER = """states 8
+0 - * * -> 1 0 S R . r
+1 * * * -> 2 1 R S . .
+2 - * * -> 3 1 R S . .
+3 - * * -> 4 1 R S . .
+4 - * 0 -> 5 0 L S . .
+5 - * 1 -> 6 0 R S . .
+6 - * 0 -> 7 0 L S . .
+7 - * 0 -> 4 1 R S . .
+"""
+
+# writes 1s to its right for ever: no state repeats
+WRITING_WALKER = "states 1\n0 - * * -> 0 1 R S . .\n"
+
+
+def first_repeat(m, program, aux):
+    """(steps before the last read, mu, lam): the literal first repeat of
+    the full dynamic state after the last read, found by keeping every
+    state.  Referee for the loop check's bound."""
+    sim, seen, start = prefix_vm._Sim(), {}, 0
+    while True:
+        snap = sim.snapshot()
+        if snap in seen:
+            return start, seen[snap], len(seen) - seen[snap]
+        seen[snap] = len(seen)
+        status = prefix_vm._step(m, sim, aux)
+        assert status != prefix_vm._STUCK and sim.state != HALT
+        if status == prefix_vm._READ:
+            sim.pending = int(program[sim.bits_read])
+            sim.bits_read += 1
+            seen, start = {}, sim.steps
+
+
+class TestLoopCheck:
+    """A repeat of the dynamic state with no read in between proves a
+    loop; it is caught against one checkpoint (Brent 1980), not a set of
+    every state, so it is noticed later than the first repeat, within a
+    stated bound, and memory stays linear in the steps taken."""
+
+    LOOPERS = [
+        # (machine, program, aux, steps before the last read, mu, lam)
+        (parse_machine_text("states 1\n0 - * * -> 0 0 S S . .\n"), "", "", 0, 0, 1),
+        (parse_machine_text("states 1\n0 - * * -> 0 0 R S . .\n"), "", "", 0, 0, 1),
+        (chain_looper(5, 3), "", "", 0, 5, 3),
+        (chain_looper(1, 6), "", "", 0, 1, 6),
+        (chain_looper(9, 2), "", "", 0, 9, 2),
+        (chain_looper(0, 12), "", "", 0, 0, 12),
+        (parse_machine_text(WRITING_BOUNCER), "", "", 0, 3, 4),
+        (parse_machine_text(READING_BOUNCER), "1", "01", 1, 3, 4),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(LOOPERS)))
+    def test_loop_reported_within_three_times_lead_in_plus_period(self, case, monkeypatch):
+        m, program, aux, start, mu, lam = self.LOOPERS[case]
+        assert first_repeat(m, program, aux) == (start, mu, lam)
+        calls = []
+        real_step = prefix_vm._step
+
+        def counting_step(*args):
+            calls.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(prefix_vm, "_step", counting_step)
+        assert run(m, program, aux, 10**6).kind is Outcome.OUT_OF_FUEL
+        # not before the state has repeated, not after the stated bound
+        assert start + mu + lam <= len(calls) <= start + 3 * (mu + lam)
+        if not program:
+            calls.clear()
+            assert halting_programs.__wrapped__(m, aux, 0, 10**6) == ()   # past the cache
+            assert mu + lam <= len(calls) <= 3 * (mu + lam)
+
+    def test_writing_walker_memory_is_linear_in_the_budget(self):
+        # a set of every state since the last read holds about 190 MB at
+        # 2,000 steps; one checkpoint keeps the tape and one copy of it
+        m = parse_machine_text(WRITING_WALKER)
+        for budget in (2_000, 10_000):
+            tracemalloc.start()
+            try:
+                assert run(m, "", "", budget).kind is Outcome.OUT_OF_FUEL
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000 * budget, (budget, peak)   # 2 MB at 2,000 steps
+
+    # each one repeats its control state, pending bit and aux position
+    # with other tape contents, or across a read, and halts after all
+    HALTERS = [
+        # (machine, aux, accepted programs with their outputs)
+        # toggles its cell, then halts on the 1 it wrote
+        ("states 1\n0 - * 0 -> 0 1 S S . .\n0 - * 1 -> H 0 S S 1 .\n", "", {"": "1"}),
+        # marks both ends of a stretch as long as aux, then walks back
+        # over it in state 2: the same mark count, moved relative to the head
+        ("states 3\n0 - 1 0 -> 1 1 R R . .\n1 - 1 0 -> 1 0 R R . .\n"
+         "1 - $ 0 -> 2 1 L S . .\n2 - $ 0 -> 2 0 L S . .\n2 - $ 1 -> H 0 S S 0 .\n", "111", {"": "0"}),
+        # after the read only the pending bit tells the next state from
+        # the one before it
+        ("states 2\n0 - * * -> 1 0 S S . r\n1 0 * * -> 1 0 S S . .\n"
+         "1 1 * * -> H 0 S S 1 .\n1 - * * -> H 0 S S 0 .\n", "", {"0": "0", "1": "1"}),
+        # reads until a 1: the state before each read comes back after it
+        ("states 2\n0 - * * -> 1 0 S S . r\n1 0 * * -> 0 0 S S . .\n1 1 * * -> H 0 S S . .\n",
+         "", {"0" * k + "1": "" for k in range(6)}),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(HALTERS)))
+    def test_repeats_that_are_not_loops(self, case):
+        text, aux, accepted = self.HALTERS[case]
+        m = parse_machine_text(text)
+        assert accepted_by_direct_runs(m, aux, 6, 100) == accepted
+        assert {l.program: l.output for l in halting_programs(m, aux, 6, 100)} == accepted
+        events = dovetail(m, aux, 200, "staged")
+        assert {e.program: e.output for e in events if len(e.program) <= 6} == accepted
+        assert dovetail(m, aux, 200) == events
 
 
 class TestDovetail:

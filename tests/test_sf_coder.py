@@ -515,3 +515,13 @@ class TestMassStreamsAgainstReferees:
             mixture_mass_stream(spec, 3)
         assert str(got.value) == str(want.value)
         assert calls == []
+
+    @pytest.mark.parametrize("max_stage", [0, -1])
+    def test_mixture_stream_rejects_a_stage_bound_below_1(self, max_stage):
+        # the same bound and message as mixture and normalize_stages
+        table = ConditionalSemimeasure({(1, 1): ONE}, stage=1)
+        for spec in (MixtureSpec(()), MixtureSpec(((1, table),))):
+            with pytest.raises(ValueError, match="max_stage must be positive"):
+                mixture(spec, max_stage)
+            with pytest.raises(ValueError, match="max_stage must be positive"):
+                mixture_mass_stream(spec, max_stage)
