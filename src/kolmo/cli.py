@@ -312,9 +312,12 @@ def _load_spec(path: str, out: _Output) -> MixtureSpec:
     out.note_input("spec", text)
     doc = json.loads(text)
     try:
-        entries = [(int(entry["exponent"]), str(entry["csv"])) for entry in doc["components"]]
+        entries = [(entry["exponent"], str(entry["csv"])) for entry in doc["components"]]
     except (KeyError, TypeError) as err:
         raise SystemExit(f"error: {path}: need a components list of {{exponent, csv}} objects") from err
+    for i, (e, _) in enumerate(entries):
+        if type(e) is not int:   # not isinstance: JSON true loads as a bool, an int subclass
+            raise SystemExit(f"error: {path}: components[{i}]: exponent must be an integer, got {json.dumps(e)}")
     base = Path(path).parent
     comps = [(e, load_approximator_csv((base / csv).read_text(), name=csv)) for e, csv in entries]
     return MixtureSpec(tuple(comps))

@@ -320,11 +320,11 @@ def halting_programs(m: PrefixMachine, aux: str, length_bound: int, step_budget:
         if status == _HALTED:
             leaves.append(HaltLeaf(prefix, "".join(sim.out), sim.steps))
         elif status == _READ and len(prefix) < length_bound:
-            for bit in (1, 0):
-                child = sim.clone()
+            # the popped sim goes on as the 0-child: one copy per read
+            for bit, child in ((1, sim.clone()), (0, sim)):
                 child.pending = bit
                 child.bits_read += 1
-                stack.append((child, prefix + ("1" if bit else "0")))
+                stack.append((child, prefix + str(bit)))
     leaves.sort(key=lambda l: (len(l.program), l.program))
     return tuple(leaves)
 
@@ -368,16 +368,16 @@ def dovetail(m: PrefixMachine, aux: str, max_stage: int, scheduler: str = "share
 
 
 def _dovetail_staged(m: PrefixMachine, aux: str, max_stage: int) -> list[HaltEvent]:
-    sims: dict[int, _Sim | None] = {}
+    # program j -> (its sim, its word), None once it is done
+    sims: dict[int, tuple[_Sim, str] | None] = {}
     events: list[HaltEvent] = []
     for k in range(2, max_stage + 1):
         for j in range(1, k):
             if j not in sims:
-                sims[j] = _Sim()
-            sim = sims[j]
-            if sim is None:
+                sims[j] = (_Sim(), index_word(j))
+            if sims[j] is None:
                 continue
-            word = index_word(j)
+            sim, word = sims[j]
             status = _step(m, sim, aux)
             if status == _STUCK:
                 sims[j] = None

@@ -78,6 +78,7 @@ class MonotoneApproximator:
     def __init__(self, fn, name: str = "phi"):
         self._fn = fn
         self.name = name
+        self.stairs = None   # set by from_stairs
         # (x, y) -> (sorted stages, their values), parallel lists
         self._history: dict[tuple[int, int], tuple[list[int], list[Dyadic]]] = {}
 
@@ -101,16 +102,24 @@ class MonotoneApproximator:
         return value
 
     @classmethod
+    def from_stairs(cls, stairs, name: str = "phi") -> "MonotoneApproximator":
+        """Staircase stream: ``stairs(x, y)`` gives (sorted stages, their
+        values), read by ``_stair_value``.  The stream keeps ``stairs``,
+        so a reader can sample it only where it can change."""
+        phi = cls(lambda x, y, k: _stair_value(stairs(x, y), k), name=name)
+        phi.stairs = stairs
+        return phi
+
+    @classmethod
     def from_table(cls, rows, name: str = "phi") -> "MonotoneApproximator":
-        """Staircase through listed points: the value at stage k is the
-        value at the largest listed k' <= k, zero before the first."""
+        """Staircase through listed points (x, y, k, value)."""
         stairs: dict[tuple[int, int], tuple[list[int], list[Dyadic]]] = {}
         # a stable sort keeps rows of equal stage in their listed order
         for x, y, k, v in sorted(rows, key=lambda row: row[2]):
             stages, values = stairs.setdefault((x, y), ([], []))
             stages.append(k)
             values.append(v)
-        return cls(lambda x, y, k: _stair_value(stairs.get((x, y), ((), ())), k), name=name)
+        return cls.from_stairs(lambda x, y: stairs.get((x, y), ((), ())), name=name)
 
     @classmethod
     def constant(cls, value: Dyadic, name: str = "const") -> "MonotoneApproximator":

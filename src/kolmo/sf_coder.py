@@ -9,15 +9,17 @@ Two constructions live here.
   |e(x)| <= ceil(log2 1/p(x)) + 2 exactly.
 
 * ``build_codebook``: the same chopping applied to a *growing* mass
-  estimate.  The estimate stream is first discretized to its sequence of
-  first crossings of powers of two (``psi_discretize``); each crossing
-  2**-k claims an interval of length 2**-k-1.  The final crossing of a
-  symbol is above half of its total estimate, and a power-of-two-length
-  interval always contains a binary interval of half its length, so the
-  shortest codeword p of each symbol satisfies 2**-|p| >= mass/8, i.e.
-  |p| <= ceil(log2 1/mass) + 3.  The lost bit versus the static
-  construction is the price of coding a quantity only approximable from
-  below.
+  estimate.  ``psi_discretize`` reduces the estimate stream to its first
+  crossings of powers of two, read off a sweep over (symbol, stage)
+  points in order of their sum; a staircase stream can cross only where
+  a stair starts, so it is sampled there and nowhere else.  Each
+  crossing 2**-k claims an interval of length 2**-k-1.  The final
+  crossing of a symbol is above half of its total estimate, and a
+  power-of-two-length interval always contains a binary interval of
+  half its length, so the shortest codeword p of each symbol satisfies
+  2**-|p| >= mass/8, i.e. |p| <= ceil(log2 1/mass) + 3: one bit more
+  than the static construction, the price of coding a quantity only
+  approximable from below.
 
 Interval allocation is per conditioning word: every auxiliary word gets
 its own unit interval, so codewords are prefix-free for each fixed
@@ -28,6 +30,7 @@ the condition on its auxiliary tape needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import repeat
 
 from .apriori import approx_apriori
@@ -35,7 +38,7 @@ from .codes import index_word, parse_word_text, word_index, word_text
 from .complexity import approx_k
 from .exact_arith import Dyadic, Interval, ONE, ZERO, largest_binary_subinterval
 from .prefix_vm import HALT, NO_BIT, PrefixMachine, dovetail
-from .semimeasures import ConditionalSemimeasure, MixtureSpec, MonotoneApproximator, _stair_value, mixture, normalize_stages
+from .semimeasures import ConditionalSemimeasure, MixtureSpec, MonotoneApproximator, mixture, normalize_stages
 
 __all__ = [
     "AllocationOverflowError",
@@ -44,7 +47,6 @@ __all__ = [
     "SimpleCodeBook",
     "CodeBook",
     "shannon_fano",
-    "per_condition_schedule",
     "psi_discretize",
     "build_codebook",
     "machine_mass_stream",
@@ -117,39 +119,39 @@ class PsiEvent:
     mass: Dyadic
 
 
-def per_condition_schedule(y_index: int, max_stage: int):
-    """(x, t) sweep for one condition: all pairs with x + t = s, stages
-    ascending, x ascending within a stage."""
-    for s in range(2, max_stage + 1):
-        for x in range(1, s):
-            yield (x, y_index, s - x)
+def psi_discretize(phi: MonotoneApproximator, y_index: int, max_stage: int, max_events: int | None = None):
+    """Yield the threshold-crossing events of condition ``y_index``.
 
-
-def psi_discretize(phi: MonotoneApproximator, schedule, max_events: int | None = None):
-    """Yield threshold-crossing events for the scheduled sample points.
-
-    A point (x, y, t) emits 2**-k when the sampled value lies in
-    [2**-k, 2**-k+1) and no earlier sample of that (x, y) had reached
-    2**-k.  Values above 1 are rejected: the stream is supposed to
-    estimate masses.
+    The sweep visits (x, t) with x + t <= ``max_stage`` by x + t, then x;
+    a point emits 2**-k when its value lies in [2**-k, 2**-k+1) and the
+    last sample of x was below 2**-k, and a value above 1 raises.  A
+    staircase stream is sampled only at its stair stages (stages <= 0
+    count as 1): between them its value repeats, which can neither emit
+    nor raise.  Other streams are sampled at every point.
     """
+    stairs = phi.stairs
+    if stairs is None:
+        points = ((x, s - x) for s in range(2, max_stage + 1) for x in range(1, s))
+    else:
+        points = sorted(
+            {(x, max(k, 1)) for x in range(1, max_stage) for k in stairs(x, y_index)[0] if k <= max_stage - x},
+            key=lambda point: (point[0] + point[1], point[0]),
+        )
     emitted = 0
-    prev_sup: dict[tuple[int, int], Dyadic] = {}
-    for x, y, t in schedule:
+    last_sample: dict[int, Dyadic] = {}
+    for x, t in points:
         if max_events is not None and emitted >= max_events:
             return
-        v = phi(x, y, t)
+        v = phi(x, y_index, t)
         if v.is_zero:
             continue
         if v > ONE:
-            raise ValueError(f"estimate {v} above 1 at (x={x}, y={y}, t={t})")
+            raise ValueError(f"estimate {v} above 1 at (x={x}, y={y_index}, t={t})")
         threshold = Dyadic.pow2(v.ceil_log2_reciprocal())   # the bracket floor below v
-        if prev_sup.get((x, y), ZERO) < threshold:
-            yield PsiEvent(index_word(x), index_word(y), t, threshold)
+        if last_sample.get(x, ZERO) < threshold:
+            yield PsiEvent(index_word(x), index_word(y_index), t, threshold)
             emitted += 1
-        sup = prev_sup.get((x, y), ZERO)
-        if v > sup:
-            prev_sup[(x, y)] = v
+        last_sample[x] = v   # phi rejects a falling value, so this is the supremum
 
 
 @dataclass
@@ -187,8 +189,7 @@ def build_codebook(
     for condition ``y``; codewords are the leftmost largest binary
     subinterval words."""
     book = CodeBook(aux=y, provenance=provenance or f"per-condition:{max_stage}:{max_events}")
-    y_index = word_index(y)
-    for ev in psi_discretize(phi, per_condition_schedule(y_index, max_stage), max_events):
+    for ev in psi_discretize(phi, word_index(y), max_stage, max_events):
         length = ev.mass.halve()
         hi = book.layout_cursor + length
         if hi > ONE:
@@ -285,24 +286,18 @@ def machine_mass_stream(m: PrefixMachine, max_stage: int, length_bound: int) -> 
     """The machine's accumulated output mass as a stage function: value at
     (x, y, t) is the mass of word(x) under condition word(y) after
     dovetail stage t (no event comes after stage ``max_stage``)."""
-    # y index -> x index -> staircase (event stages, accumulated masses)
-    cache: dict[int, dict[int, tuple[list[int], list[Dyadic]]]] = {}
-
+    @cache
     def staircase(y_index: int) -> dict[int, tuple[list[int], list[Dyadic]]]:
-        if y_index not in cache:
-            stairs: dict[int, tuple[list[int], list[Dyadic]]] = {}
-            for ev in dovetail(m, index_word(y_index), max_stage):
-                if len(ev.program) <= length_bound:
-                    stages, values = stairs.setdefault(word_index(ev.output), ([], []))
-                    stages.append(ev.stage)
-                    values.append((values[-1] if values else ZERO) + Dyadic.pow2(len(ev.program)))
-            cache[y_index] = stairs
-        return cache[y_index]
+        """x index -> (event stages, accumulated masses) under condition y."""
+        stairs: dict[int, tuple[list[int], list[Dyadic]]] = {}
+        for ev in dovetail(m, index_word(y_index), max_stage):
+            if len(ev.program) <= length_bound:
+                stages, values = stairs.setdefault(word_index(ev.output), ([], []))
+                stages.append(ev.stage)
+                values.append((values[-1] if values else ZERO) + Dyadic.pow2(len(ev.program)))
+        return stairs
 
-    def fn(x: int, y: int, t: int) -> Dyadic:
-        return _stair_value(staircase(y).get(x, ((), ())), t)
-
-    return MonotoneApproximator(fn, name=f"mass:{m.label}")
+    return MonotoneApproximator.from_stairs(lambda x, y: staircase(y).get(x, ((), ())), name=f"mass:{m.label}")
 
 
 def mixture_mass_stream(spec: MixtureSpec, max_stage: int) -> MonotoneApproximator:
@@ -379,10 +374,7 @@ def coding_gap_report_machine(
     story is left as the visible gaps."""
     table = approx_apriori(m, y, max_stage, length_bound)
     phi = machine_mass_stream(m, max_stage, length_bound)
-    if table.entries:
-        max_x = max(word_index(x) for x in table.entries)
-    else:
-        max_x = 1
+    max_x = max((word_index(x) for x in table.entries), default=1)
     book = build_codebook(phi, y, max_stage + max_x + 1)
     sup_of = dict(table.entries)
     ests = {x: approx_k(m, x, y, length_bound, step_bound) for x in sup_of}
@@ -403,10 +395,7 @@ def coding_gap_report_mixture(spec: MixtureSpec, y: str, max_stage: int) -> list
     sup_of = {
         index_word(x): v for (x, yy), v in table.values.items() if yy == y_index and not v.is_zero
     }
-    if sup_of:
-        max_x = max(word_index(x) for x in sup_of)
-    else:
-        max_x = 1
+    max_x = max((word_index(x) for x in sup_of), default=1)
     book = build_codebook(phi, y, max_stage + max_x + 1)
     return _rows_from_book(book, sup_of, k_of=lambda x: None, q_of=lambda x: None)
 

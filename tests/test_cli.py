@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def kolmo(*argv, stdin: str = "", check: bool = True):
     proc = subprocess.run(
@@ -164,6 +166,23 @@ class TestPipelines:
         assert proc.returncode in (1, 2)
         assert "components" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("exponent", [1.5, True, "1"])
+    def test_semimeasure_spec_exponent_must_be_an_integer(self, tmp_path, exponent):
+        # int() would read 1.5 and true as 1, a weight of 1/2
+        (tmp_path / "a.csv").write_text("1,1,1,1/2^1\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"components": [
+            {"exponent": 2, "csv": "a.csv"},
+            {"exponent": exponent, "csv": "a.csv"},
+        ]}))
+        for op in ("mixture", "dominate"):
+            proc = kolmo("semimeasure", op, "--spec", str(spec), "--max-stage", "3", check=False)
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                f"error: {spec}: components[1]: exponent must be an integer, got {json.dumps(exponent)}\n"
+            )
 
     def test_semimeasure_short_csv_row_names_its_line(self, tmp_path):
         phi = tmp_path / "short.csv"

@@ -135,6 +135,48 @@ class TestHaltingPrograms:
             halting_programs(enumerate_machines(i), "", 4, 32)
         assert halting_programs.cache_info().currsize <= cap
 
+    def test_one_clone_per_read(self, monkeypatch):
+        clones = []
+        clone = prefix_vm._Sim.clone
+
+        def counting_clone(sim):
+            clones.append(1)
+            return clone(sim)
+
+        monkeypatch.setattr(prefix_vm._Sim, "clone", counting_clone)
+        for m in map(load_fixture, fixture_names()):
+            for aux in ("", "1"):
+                for bound, budget in ((6, 300), (12, 2000)):
+                    clones.clear()
+                    want = two_clone_halting_programs(m, aux, bound, budget)
+                    referee_clones = len(clones)
+                    clones.clear()
+                    assert halting_programs.__wrapped__(m, aux, bound, budget) == want   # past the cache
+                    assert 2 * len(clones) == referee_clones, (m, aux, bound)
+        clones.clear()
+        halting_programs.__wrapped__(load_fixture("ident"), "", 18, 10**4)
+        assert len(clones) == 1022   # 2,044 when both children were copies
+
+
+def two_clone_halting_programs(m, aux, length_bound, step_budget):
+    """The search that copied the sim for both children at each read and
+    dropped the parent.  Referee for halting_programs."""
+    leaves = []
+    stack = [(prefix_vm._Sim(), "")]
+    while stack:
+        sim, prefix = stack.pop()
+        status = prefix_vm._advance(m, sim, aux, step_budget)
+        if status == prefix_vm._HALTED:
+            leaves.append(prefix_vm.HaltLeaf(prefix, "".join(sim.out), sim.steps))
+        elif status == prefix_vm._READ and len(prefix) < length_bound:
+            for bit in (1, 0):
+                child = sim.clone()
+                child.pending = bit
+                child.bits_read += 1
+                stack.append((child, prefix + ("1" if bit else "0")))
+    leaves.sort(key=lambda l: (len(l.program), l.program))
+    return tuple(leaves)
+
 
 def chain_looper(mu, lam):
     """States 0..mu+lam-1 in a row, the last one going back to state mu:
@@ -299,6 +341,18 @@ class TestDovetail:
             m = load_fixture(name)
             for aux in ("", "1"):
                 assert dovetail(m, aux, 60) == dovetail(m, aux, 60, "staged"), name
+
+    def test_staged_scheduler_spells_each_program_once(self, monkeypatch):
+        words = []
+        index_word = prefix_vm.index_word
+
+        def counting_index_word(j):
+            words.append(j)
+            return index_word(j)
+
+        monkeypatch.setattr(prefix_vm, "index_word", counting_index_word)
+        dovetail(load_fixture("ident"), "", 200, "staged")
+        assert sorted(words) == list(range(1, 200))
 
     def test_schedulers_agree_on_enumerated(self):
         for i in list(range(1, 30)) + [117, 118, 200]:

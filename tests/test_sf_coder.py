@@ -6,11 +6,16 @@ contained binary interval.
 """
 
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from kolmo.apriori import approx_apriori
 from kolmo.codes import index_word, is_prefix_free, kraft_sum, word_index
 from kolmo.exact_arith import Dyadic, ONE, ZERO
 from kolmo.fixtures import fixture_names, load_fixture
@@ -27,6 +32,7 @@ from kolmo.semimeasures import (
 from kolmo.sf_coder import (
     AllocationOverflowError,
     AuxMismatchError,
+    PsiEvent,
     build_codebook,
     codebook_to_machine,
     coding_gap_report_machine,
@@ -36,7 +42,6 @@ from kolmo.sf_coder import (
     machine_mass_stream,
     mixture_mass_stream,
     parse_codebook,
-    per_condition_schedule,
     psi_discretize,
     shannon_fano,
 )
@@ -139,12 +144,12 @@ def staircase_phi(levels):
 class TestPsiDiscretize:
     def test_single_jump_single_event(self):
         phi = staircase_phi({(1, 1): [dy(1, 1)]})
-        evs = list(psi_discretize(phi, per_condition_schedule(1, 8)))
+        evs = list(psi_discretize(phi, 1, 8))
         assert [(e.x, e.mass) for e in evs] == [("", dy(1, 1))]
 
     def test_climbing_staircase(self):
         phi = staircase_phi({(1, 1): [dy(1, 3), dy(1, 2), dy(1, 1)]})
-        evs = list(psi_discretize(phi, per_condition_schedule(1, 10)))
+        evs = list(psi_discretize(phi, 1, 10))
         assert [e.mass for e in evs] == [dy(1, 3), dy(1, 2), dy(1, 1)]
         total = sum((e.mass for e in evs), ZERO)
         assert total == dy(7, 3)
@@ -152,23 +157,23 @@ class TestPsiDiscretize:
 
     def test_zero_stream_no_events(self):
         phi = MonotoneApproximator.constant(ZERO)
-        assert list(psi_discretize(phi, per_condition_schedule(1, 8))) == []
+        assert list(psi_discretize(phi, 1, 8)) == []
 
     def test_skipped_brackets_are_not_emitted(self):
         phi = staircase_phi({(1, 1): [dy(5, 3)]})   # jumps straight into [1/2, 1)
-        evs = list(psi_discretize(phi, per_condition_schedule(1, 8)))
+        evs = list(psi_discretize(phi, 1, 8))
         assert [e.mass for e in evs] == [dy(1, 1)]
 
     def test_masses_strictly_increase_per_point(self):
         phi = staircase_phi({(1, 1): [dy(1, 3), dy(3, 3), dy(3, 2), dy(7, 3)]})
-        evs = list(psi_discretize(phi, per_condition_schedule(1, 12)))
+        evs = list(psi_discretize(phi, 1, 12))
         masses = [e.mass for e in evs]
         assert masses == sorted(set(masses), key=lambda d: d.to_fraction())
 
     def test_non_monotone_stream_raises(self):
         phi = MonotoneApproximator(lambda x, y, t: dy(1, 1) if t == 1 else dy(1, 2))
         with pytest.raises(Exception):
-            list(psi_discretize(phi, per_condition_schedule(1, 6)))
+            list(psi_discretize(phi, 1, 6))
 
 
 monotone_staircases = st.lists(
@@ -180,7 +185,7 @@ class TestPsiProperties:
     @given(monotone_staircases)
     def test_sum_strictly_below_twice_sup(self, seq):
         phi = staircase_phi({(1, 1): seq})
-        evs = list(psi_discretize(phi, per_condition_schedule(1, len(seq) + 2)))
+        evs = list(psi_discretize(phi, 1, len(seq) + 2))
         total = sum((e.mass for e in evs), ZERO)
         sup = seq[-1]
         assert total < sup + sup
@@ -188,7 +193,7 @@ class TestPsiProperties:
     @given(monotone_staircases)
     def test_masses_distinct_increasing_and_bracket_sup(self, seq):
         phi = staircase_phi({(1, 1): seq})
-        evs = list(psi_discretize(phi, per_condition_schedule(1, len(seq) + 2)))
+        evs = list(psi_discretize(phi, 1, len(seq) + 2))
         masses = [e.mass for e in evs]
         assert len(set(masses)) == len(masses)
         for a, b in zip(masses, masses[1:]):
@@ -200,7 +205,7 @@ class TestPsiProperties:
     @given(monotone_staircases)
     def test_events_are_replayable(self, seq):
         phi = staircase_phi({(1, 1): seq})
-        for ev in psi_discretize(phi, per_condition_schedule(1, len(seq) + 2)):
+        for ev in psi_discretize(phi, 1, len(seq) + 2):
             v = seq[min(ev.t, len(seq)) - 1]
             assert ev.mass <= v < ev.mass + ev.mass
 
@@ -343,7 +348,7 @@ class TestBounds:
             targets, levels = random_staircase_mixture(rng)
             phi = staircase_phi(levels)
             sums = {}
-            for ev in psi_discretize(phi, per_condition_schedule(1, 40)):
+            for ev in psi_discretize(phi, 1, 40):
                 key = ev.x
                 sums[key] = sums.get(key, ZERO) + ev.mass
             for i, (_, target) in enumerate(targets):
@@ -525,3 +530,141 @@ class TestMassStreamsAgainstReferees:
                 mixture(spec, max_stage)
             with pytest.raises(ValueError, match="max_stage must be positive"):
                 mixture_mass_stream(spec, max_stage)
+
+
+# -- the threshold sweep against the sampling sweep it replaced ------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def per_condition_schedule(y_index, max_stage):
+    """(x, t) sweep for one condition: all pairs with x + t = s, stages
+    ascending, x ascending within a stage."""
+    for s in range(2, max_stage + 1):
+        for x in range(1, s):
+            yield (x, y_index, s - x)
+
+
+def sampling_psi_discretize(phi, schedule, max_events=None):
+    """The sweep that samples every scheduled point and keeps the running
+    supremum per (x, y).  Referee for psi_discretize."""
+    emitted = 0
+    prev_sup = {}
+    for x, y, t in schedule:
+        if max_events is not None and emitted >= max_events:
+            return
+        v = phi(x, y, t)
+        if v.is_zero:
+            continue
+        if v > ONE:
+            raise ValueError(f"estimate {v} above 1 at (x={x}, y={y}, t={t})")
+        threshold = Dyadic.pow2(v.ceil_log2_reciprocal())
+        if prev_sup.get((x, y), ZERO) < threshold:
+            yield PsiEvent(index_word(x), index_word(y), t, threshold)
+            emitted += 1
+        sup = prev_sup.get((x, y), ZERO)
+        if v > sup:
+            prev_sup[(x, y)] = v
+
+
+def sweep_outcome(events):
+    """The events up to the first exception, and that exception's type
+    and message."""
+    got = []
+    try:
+        for ev in events:
+            got.append(ev)
+    except Exception as err:
+        return got, (type(err), str(err))
+    return got, None
+
+
+# mostly masses up to 20/16, so some above 1; index 21 is not a dyadic
+table_values = st.integers(0, 21).map(lambda n: dy(n, 4) if n <= 20 else Fraction(1, 2))
+table_rows = st.lists(
+    st.tuples(st.integers(1, 5), st.integers(1, 2), st.integers(-2, 12), table_values), max_size=14
+)
+
+
+def ident_code_build_bound(max_stage, length_bound):
+    """The sweep bound ``kolmo code build -m ident`` uses."""
+    support = approx_apriori(load_fixture("ident"), "", max_stage, length_bound).entries
+    return max_stage + max(word_index(x) for x in support) + 1
+
+
+class TestStairSweep:
+    @settings(max_examples=600, deadline=None)
+    @given(table_rows, st.integers(1, 2), st.integers(1, 20), st.none() | st.integers(0, 5))
+    def test_matches_the_sampling_sweep_on_tables(self, rows, y, max_stage, max_events):
+        # unsorted rows, repeated stages, stages <= 0, falling stairs,
+        # values above 1 and non-dyadic values: same events, same error
+        mine = psi_discretize(MonotoneApproximator.from_table(rows), y, max_stage, max_events)
+        referee = sampling_psi_discretize(
+            MonotoneApproximator.from_table(rows), per_condition_schedule(y, max_stage), max_events
+        )
+        assert sweep_outcome(mine) == sweep_outcome(referee)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_matches_the_sampling_sweep_on_machine_streams(self, name):
+        m = load_fixture(name)
+        for max_stage, length_bound in TestMassStreamsAgainstReferees.BOUNDS + [(200, 8)]:
+            for aux in ("", "1"):
+                y = word_index(aux)
+                outputs = {ev.output for ev in dovetail(m, aux, max_stage)}
+                sweep = max_stage + max((word_index(w) for w in outputs), default=1) + 1
+                mine = psi_discretize(machine_mass_stream(m, max_stage, length_bound), y, sweep)
+                referee = sampling_psi_discretize(
+                    machine_mass_stream(m, max_stage, length_bound), per_condition_schedule(y, sweep)
+                )
+                assert sweep_outcome(mine) == sweep_outcome(referee), (name, max_stage, length_bound, aux)
+
+    def test_generic_streams_are_sampled_at_every_point(self):
+        seen = []
+        phi = MonotoneApproximator(lambda x, y, t: seen.append((x, t)) or ZERO)
+        assert list(psi_discretize(phi, 1, 6)) == []
+        assert seen == [(x, t) for x, _, t in per_condition_schedule(1, 6)]
+
+    def test_samples_a_machine_stream_at_most_once_per_stair(self, monkeypatch):
+        # ``code build -m ident --max-stage 400 -L 10``: the sampling
+        # sweep made 86,320 approximator calls for its 15 events
+        m = load_fixture("ident")
+        sweep = ident_code_build_bound(400, 10)
+        stairs = {
+            (word_index(ev.output), ev.stage)
+            for ev in dovetail(m, "", 400)
+            if len(ev.program) <= 10 and word_index(ev.output) + ev.stage <= sweep
+        }
+        calls = []
+        call = MonotoneApproximator.__call__
+
+        def counting_call(phi, x, y, k):
+            calls.append((x, k))
+            return call(phi, x, y, k)
+
+        monkeypatch.setattr(MonotoneApproximator, "__call__", counting_call)
+        events = list(psi_discretize(machine_mass_stream(m, 400, 10), 1, sweep))
+        assert len(events) == 15
+        assert len(calls) <= len(stairs)
+        assert set(calls) <= stairs
+
+    def test_codebook_memory_does_not_grow_with_the_sweep(self):
+        # the sampling sweep kept every sample: 2M of them, about 100 MB
+        sweep = ident_code_build_bound(2000, 14)
+        phi = machine_mass_stream(load_fixture("ident"), 2000, 14)
+        tracemalloc.start()
+        try:
+            book = build_codebook(phi, "", sweep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(book.entries) == 31
+        assert peak < 1 << 20
+
+    def test_code_build_golden(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kolmo.cli", "code", "build", "-m", "ident", "--max-stage", "2000", "-L", "14"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / "book_ident_2000_14.tsv").read_text()
