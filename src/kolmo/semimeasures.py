@@ -7,7 +7,10 @@ sample only if every column sums to at most 1; otherwise the table
 keeps its previous values.  Column sums of a monotone stream never
 decrease, so a single violation freezes the table for good: values
 written before the first violation are final.  Streams that already
-behave like conditional semimeasures pass through unchanged.
+behave like conditional semimeasures pass through unchanged.  A
+staircase stream is sampled only at entry and stair stages, where its
+value can change, with its column sums kept running; the sampled grid
+serves every other stream.
 
 A mixture combines clamped tables with weights 2**-e_j whose exponents
 come from a prefix-free code, so the weight sum is at most 1 and the
@@ -174,12 +177,23 @@ def normalize_stages(phi: MonotoneApproximator, max_stage: int, per_column: bool
     whole stage-k sample.  With ``per_column=True`` only the offending
     columns are skipped and the rest still update (a strictly more
     permissive variant, flagged because it changes the result).
+
+    A staircase stream (``phi.stairs`` set) is sampled only where its
+    value can change: each point with stairs at its entry stage
+    max(x, y) and at its stair stages after that.  Every other stream is
+    sampled on the whole square [1..k]^2 at every stage k.  Both visit
+    the points of a stage in the same (y, then x) order, and a skipped
+    sample would repeat the point's last one or read zero, so the tables
+    and the first error are the same.
     """
     if max_stage < 1:
         raise ValueError("max_stage must be positive")
     values: dict[tuple[int, int], Dyadic] = {}
     violated: set[int] = set()
-    for k in range(1, max_stage + 1):
+    start = 1
+    if phi.stairs is not None:
+        start = yield from _stair_stages(phi, max_stage, per_column, values, violated)
+    for k in range(start, max_stage + 1):
         try:
             grid = {(i, j): phi(i, j, k) for j in range(1, k + 1) for i in range(1, k + 1)}
         except DivergeSignal:
@@ -203,6 +217,52 @@ def normalize_stages(phi: MonotoneApproximator, max_stage: int, per_column: bool
         yield ConditionalSemimeasure(dict(values), k, frozenset(violated))
 
 
+def _stair_stages(phi, max_stage: int, per_column: bool, values: dict, violated: set):
+    """The clamping loop on a staircase stream, yielding what the grid
+    loop would; returns the stage the grid loop should go on from.
+
+    Column sums are kept running: a sample changes its column's sum by
+    its rise over the point's previous sample.  They never fall, so the
+    violated columns are those whose sum has passed 1, and an accepted
+    stage writes only the points that rose.  A stage whose stairs raise
+    ``DivergeSignal`` is handed back to the grid loop, which repeats it:
+    every point sampled so far holds the sample of its last stair, so
+    the grid loop's extra samples neither raise nor differ.
+    """
+    stairs = phi.stairs
+    due: dict[int, list[tuple[int, int]]] = {}      # stage -> (y, x) of points with a stair there
+    last: dict[tuple[int, int], Dyadic] = {}         # each point's latest sample
+    sums: dict[int, Dyadic] = {}
+    for k in range(1, max_stage + 1):
+        entering = [(y, k) for y in range(1, k)] + [(k, x) for x in range(1, k + 1)]
+        rises = []
+        try:
+            for y, x in sorted(entering + due.pop(k, [])):
+                if max(x, y) == k:
+                    stages = stairs(x, y)[0]
+                    if not stages:
+                        continue   # zero at every stage: its samples can neither raise nor rise
+                    for s in set(stages):
+                        if k < s <= max_stage:
+                            due.setdefault(s, []).append((y, x))
+                v = phi(x, y, k)
+                if v != last.get((x, y), ZERO):
+                    rises.append((x, y, v))
+        except DivergeSignal:
+            return k
+        for x, y, v in rises:
+            sums[y] = sums.get(y, ZERO) - last.get((x, y), ZERO) + v
+            last[(x, y)] = v
+            if sums[y] > ONE:
+                violated.add(y)
+        if per_column or not violated:
+            for x, y, v in rises:
+                if y not in violated:
+                    values[(x, y)] = v
+        yield ConditionalSemimeasure(dict(values), k, frozenset(violated))
+    return max_stage + 1
+
+
 def normalize(phi: MonotoneApproximator, max_stage: int, per_column: bool = False) -> ConditionalSemimeasure:
     """The clamping loop run to ``max_stage``; see normalize_stages."""
     result = None
@@ -218,13 +278,18 @@ def bar_weight_exponents(n: int) -> list[int]:
     return [2 * len(nat_to_string(j)) + 1 for j in range(1, n + 1)]
 
 
+_MAX_WEIGHT_EXPONENT = 4096
+
+
 @dataclass(frozen=True)
 class MixtureSpec:
     """Weighted components: (weight exponent e_j, stream or table).
 
     Weights are 2**-e_j; their exact sum must stay within 1, which holds
     automatically when the exponents are codeword lengths of a
-    prefix-free code.
+    prefix-free code.  Exponents run from 0 to 4096: bar_weight_exponents
+    stays below 130 for up to 2**64 components, and a larger exponent
+    would only make the exact weight sum a number of that many bits.
     """
 
     components: tuple = ()
@@ -234,6 +299,8 @@ class MixtureSpec:
         for e, comp in self.components:
             if not isinstance(e, int) or e < 0:
                 raise WeightError(f"bad weight exponent {e!r}")
+            if e > _MAX_WEIGHT_EXPONENT:
+                raise WeightError(f"weight exponent {e} above {_MAX_WEIGHT_EXPONENT}")
             if not isinstance(comp, (MonotoneApproximator, ConditionalSemimeasure)):
                 raise WeightError(f"component must be a stream or a table: {comp!r}")
             total = total + Dyadic.pow2(e)

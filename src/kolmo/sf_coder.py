@@ -303,7 +303,9 @@ def machine_mass_stream(m: PrefixMachine, max_stage: int, length_bound: int) -> 
 def mixture_mass_stream(spec: MixtureSpec, max_stage: int) -> MonotoneApproximator:
     """Stage function of a mixture: the mixture table cut off at stage t.
     One clamping pass per stream component gives its stage-t tables;
-    table components enter every stage as they are."""
+    table components enter every stage as they are.  The stream is a
+    staircase with a stair wherever a point's mixture value changes, so
+    a reader samples it only there."""
     if max_stage < 1:
         raise ValueError("max_stage must be positive")
     MixtureSpec(spec.components)   # re-validate, as mixture does
@@ -311,15 +313,15 @@ def mixture_mass_stream(spec: MixtureSpec, max_stage: int) -> MonotoneApproximat
         repeat(comp) if isinstance(comp, ConditionalSemimeasure) else normalize_stages(comp, max_stage)
         for _, comp in spec.components
     ]
-    tables = {}
+    rows = []
+    before: dict[tuple[int, int], Dyadic] = {}
     for t in range(1, max_stage + 1):
         stage_t = tuple((e, next(tables_of)) for (e, _), tables_of in zip(spec.components, passes))
-        tables[t] = mixture(MixtureSpec(stage_t), t)
-
-    def fn(x: int, y: int, t: int) -> Dyadic:
-        return tables[min(t, max_stage)].mass(x, y)
-
-    return MonotoneApproximator(fn, name="mixture")
+        now = mixture(MixtureSpec(stage_t), t).values
+        # clamped tables never lose a point or a value, and neither does their mixture
+        rows += [(x, y, t, v) for (x, y), v in now.items() if v != before.get((x, y), ZERO)]
+        before = now
+    return MonotoneApproximator.from_table(rows, name="mixture")
 
 
 # -- gap report ----------------------------------------------------------

@@ -184,6 +184,17 @@ class TestPipelines:
                 f"error: {spec}: components[1]: exponent must be an integer, got {json.dumps(exponent)}\n"
             )
 
+    def test_semimeasure_spec_exponent_past_the_bound(self, tmp_path):
+        # the exact weight sum would need 10**11 bits
+        (tmp_path / "a.csv").write_text("1,1,1,1/2^1\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"components": [{"exponent": 100000000000, "csv": "a.csv"}]}))
+        for op in ("mixture", "dominate"):
+            proc = kolmo("semimeasure", op, "--spec", str(spec), "--max-stage", "2", check=False)
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert proc.stderr == "error: weight exponent 100000000000 above 4096\n"
+
     def test_semimeasure_short_csv_row_names_its_line(self, tmp_path):
         phi = tmp_path / "short.csv"
         phi.write_text("# x,y,k,v\n1,1,1\n")

@@ -347,6 +347,114 @@ class TestRandomizedClamping:
         assert 1 in loose.frozen_y
 
 
+def clamping_run(phi, max_stage, per_column):
+    """Every table ``normalize_stages`` yields, then the exception that
+    ended it (type, message, point) or None."""
+    tables = []
+    try:
+        for snap in normalize_stages(phi, max_stage, per_column):
+            tables.append((snap.values, snap.stage, snap.frozen_y))
+    except (MonotonicityError, TypeError) as err:
+        return tables, (type(err), str(err), getattr(err, "point", None))
+    return tables, None
+
+
+def grid_referee(phi):
+    """The same stream with its stairs hidden, so the clamping loop
+    samples it on the whole square at every stage."""
+    phi.stairs = None
+    return phi
+
+
+@st.composite
+def clamped_staircases(draw):
+    """Rows of a ``from_table`` staircase, a stage bound K and probes.
+    Rows come unsorted, with repeated stages, stages from -2 to K + 3,
+    zero values, falling stairs, over-full columns, the odd value that is
+    not a Dyadic, and points past K when K is small; the probes read the
+    stream out of order before the clamping loop runs."""
+    k_max = draw(st.integers(1, 20))
+    side = min(k_max + 2, 6)
+    point = st.tuples(st.integers(1, side), st.integers(1, side))
+    steps = st.lists(st.tuples(st.integers(-2, k_max + 3), st.integers(0, 40)), min_size=1, max_size=4)
+    rows = []
+    for (x, y), cell, rising in draw(st.lists(st.tuples(point, steps, st.booleans()), max_size=14)):
+        if rising:   # the same stages and values, sorted into a monotone staircase
+            cell = zip(sorted(k for k, _ in cell), sorted(n for _, n in cell))
+        rows += [(x, y, k, "1/2^1" if n == 40 else dy(n, 5)) for k, n in cell]
+    rows = draw(st.permutations(rows))
+    probes = draw(st.lists(st.tuples(point, st.integers(1, k_max + 4)).map(lambda p: (*p[0], p[1])), max_size=12))
+    return rows, k_max, probes
+
+
+class TestStairPathAgainstGridLoop:
+    @settings(max_examples=600, deadline=None)
+    @given(clamped_staircases(), st.booleans())
+    def test_same_tables_and_first_error(self, case, per_column):
+        rows, max_stage, probes = case
+        phi = MonotoneApproximator.from_table(rows)
+        referee = grid_referee(MonotoneApproximator.from_table(rows))
+        for x, y, k in probes:
+            outcomes = []
+            for stream in (phi, referee):
+                try:
+                    outcomes.append(stream(x, y, k))
+                except (MonotonicityError, TypeError) as err:
+                    outcomes.append((type(err), str(err)))
+            assert outcomes[0] == outcomes[1]
+        assert clamping_run(phi, max_stage, per_column) == clamping_run(referee, max_stage, per_column)
+
+    def test_stairs_that_diverge_hand_the_stage_to_the_grid_loop(self):
+        rows = [(1, 1, 1, dy(1, 2)), (2, 1, 3, dy(1, 1)), (1, 2, 2, dy(1, 3)), (3, 2, 4, dy(3, 2)), (4, 3, 1, dy(1, 1))]
+
+        listed = MonotoneApproximator.from_table(rows).stairs
+
+        def stairs(x, y):
+            if (x, y) == (3, 1):
+                raise DivergeSignal
+            return listed(x, y)
+
+        def make():
+            return MonotoneApproximator.from_stairs(stairs)
+
+        for per_column in (False, True):
+            got = clamping_run(make(), 6, per_column)
+            assert got == clamping_run(grid_referee(make()), 6, per_column)
+            assert [stage for _, stage, _ in got[0]] == [1, 2, 3, 4, 5, 6]
+            assert got[0][2][0] == got[0][5][0] == {(1, 1): dy(1, 2), (1, 2): dy(1, 3)}
+
+    def test_first_error_of_a_stage_in_y_then_x_order(self):
+        # at stage 3 a stair of (1, 1) falls and the entering (3, 2) is
+        # not a Dyadic: the grid reaches (1, 1) first
+        rows = [(1, 1, 1, dy(1, 1)), (1, 1, 3, dy(1, 2)), (3, 2, 1, "1/2^1")]
+        for per_column in (False, True):
+            got = clamping_run(MonotoneApproximator.from_table(rows), 4, per_column)
+            assert got == clamping_run(grid_referee(MonotoneApproximator.from_table(rows)), 4, per_column)
+            assert got[1] == (MonotonicityError, "approximator not monotone at (x=1, y=1, k=3)", (1, 1, 3))
+
+    def test_calls_only_at_entry_and_stair_points(self, monkeypatch):
+        rng = random.Random(45)
+        size = 45
+        rows = []
+        for y in range(1, size + 1):
+            for x in rng.sample(range(1, size + 1), 3):
+                for k, n in zip(sorted(rng.sample(range(1, size + 6), 2)), sorted(rng.sample(range(1, 40), 2))):
+                    rows.append((x, y, k, dy(n, 8)))
+        stairs = {}
+        for x, y, k, _ in rows:
+            stairs.setdefault((x, y), set()).add(k)
+        bound = sum(1 + sum(max(x, y) < k <= size for k in stages) for (x, y), stages in stairs.items())
+        original = MonotoneApproximator.__call__
+        for per_column in (False, True):
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(MonotoneApproximator, "__call__",
+                              lambda phi, x, y, k: calls.append((x, y, k)) or original(phi, x, y, k))
+                got = clamping_run(MonotoneApproximator.from_table(rows), size, per_column)
+            assert len(calls) <= bound < size ** 3 // 100
+            assert got == clamping_run(grid_referee(MonotoneApproximator.from_table(rows)), size, per_column)
+
+
 def oracle_clamp(sample, max_stage):
     """Independent rewrite of the clamping loop: dense fractions, no
     sparsity tricks.  ``sample(i, j, k)`` returns a Fraction or raises
@@ -438,6 +546,13 @@ class TestMixture:
         with pytest.raises(WeightError):
             MixtureSpec(((0, MonotoneApproximator(fn)), (0, MonotoneApproximator(fn))))
         assert calls == []
+
+    def test_weight_exponent_bound(self):
+        table = ConditionalSemimeasure({(1, 1): ONE}, stage=2)
+        assert mixture(MixtureSpec(((4096, table),)), 2).mass(1, 1) == Dyadic.pow2(4096)
+        for e in (4097, 10 ** 11):
+            with pytest.raises(WeightError, match=f"weight exponent {e} above 4096"):
+                MixtureSpec(((1, table), (e, table)))
 
     def test_mixture_of_streams(self):
         phi1 = MonotoneApproximator(lambda x, y, k: ONE if (x, y) == (1, 1) else ZERO)

@@ -503,6 +503,20 @@ class TestMassStreamsAgainstReferees:
                     for t in range(1, max_stage + 3):
                         assert mine(x, y, t) == referee(x, y, t), (spec, x, y, t)
 
+    def test_mixture_stream_gives_the_events_of_the_every_point_stream(self):
+        max_stage = 6
+        specs = list(self.mixture_specs())
+        for spec, again in zip(specs, self.mixture_specs()):
+            try:
+                referee = restaged_mixture_stream(spec, max_stage)
+            except MonotonicityError:
+                continue
+            mine = mixture_mass_stream(again, max_stage)
+            assert mine.stairs is not None and referee.stairs is None
+            for y in range(1, 6):
+                want = list(psi_discretize(referee, y, max_stage + 6))
+                assert list(psi_discretize(mine, y, max_stage + 6)) == want, (spec, y)
+
     def test_overweight_spec_raises_the_same_weight_error_before_sampling(self):
         calls = []
 
