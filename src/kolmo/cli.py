@@ -360,9 +360,8 @@ def cmd_code(args) -> int:
         m = _load_machine(args.machine)
         out.note_input("machine", m.digest())
         aux = _word(args.aux)
-        support = approx_apriori(m, aux, args.max_stage, args.length_bound).entries
-        max_x = max((word_index(x) for x in support), default=1)
         phi = machine_mass_stream(m, args.max_stage, args.length_bound)
+        max_x = max(phi.stairs(word_index(aux)), default=1)   # the last x of the support
         book = build_codebook(
             phi,
             aux,

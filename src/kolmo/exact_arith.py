@@ -257,13 +257,14 @@ def largest_binary_subinterval(iv: Interval) -> BinaryInterval | None:
     """Leftmost among the longest binary intervals contained in ``iv``.
 
     For a nonempty interval of length L the result has length > L/4, so
-    the word is at most ceil(log2(1/L)) + 2 bits; a degenerate interval
-    has no binary subinterval and yields None.
+    the word is at most ceil(log2(1/L)) + 2 bits, and no shorter word
+    than ceil(log2(1/L)) bits fits; a degenerate interval has no binary
+    subinterval and yields None.
     """
     length = iv.length
     if length.is_zero:
         return None
-    k = 0
+    k = length.ceil_log2_reciprocal()
     while True:
         m = _ceil_shift(iv.lo, k)
         if Dyadic(m + 1, k) <= iv.hi:

@@ -106,27 +106,32 @@ class MonotoneApproximator:
 
     @classmethod
     def from_stairs(cls, stairs, name: str = "phi") -> "MonotoneApproximator":
-        """Staircase stream: ``stairs(x, y)`` gives (sorted stages, their
-        values), read by ``_stair_value``.  The stream keeps ``stairs``,
-        so a reader can sample it only where it can change."""
-        phi = cls(lambda x, y, k: _stair_value(stairs(x, y), k), name=name)
+        """Staircase stream keyed by condition: ``stairs(y)`` maps each x
+        to (sorted stages, their values), read by ``_stair_value``; an
+        absent x has no stairs and reads zero.  The stream keeps
+        ``stairs``, so a reader can sample it only where it can change
+        and read a condition's support and suprema off it."""
+        phi = cls(lambda x, y, k: _stair_value(stairs(y).get(x, _NO_STAIR), k), name=name)
         phi.stairs = stairs
         return phi
 
     @classmethod
     def from_table(cls, rows, name: str = "phi") -> "MonotoneApproximator":
         """Staircase through listed points (x, y, k, value)."""
-        stairs: dict[tuple[int, int], tuple[list[int], list[Dyadic]]] = {}
+        stairs: dict[int, dict[int, tuple[list[int], list[Dyadic]]]] = {}
         # a stable sort keeps rows of equal stage in their listed order
         for x, y, k, v in sorted(rows, key=lambda row: row[2]):
-            stages, values = stairs.setdefault((x, y), ([], []))
+            stages, values = stairs.setdefault(y, {}).setdefault(x, ([], []))
             stages.append(k)
             values.append(v)
-        return cls.from_stairs(lambda x, y: stairs.get((x, y), ((), ())), name=name)
+        return cls.from_stairs(lambda y: stairs.get(y, {}), name=name)
 
     @classmethod
     def constant(cls, value: Dyadic, name: str = "const") -> "MonotoneApproximator":
         return cls(lambda x, y, k: value, name=name)
+
+
+_NO_STAIR = ((), ())
 
 
 def _stair_value(stair, k: int) -> Dyadic:
@@ -239,7 +244,7 @@ def _stair_stages(phi, max_stage: int, per_column: bool, values: dict, violated:
         try:
             for y, x in sorted(entering + due.pop(k, [])):
                 if max(x, y) == k:
-                    stages = stairs(x, y)[0]
+                    stages = stairs(y).get(x, _NO_STAIR)[0]
                     if not stages:
                         continue   # zero at every stage: its samples can neither raise nor rise
                     for s in set(stages):

@@ -21,6 +21,13 @@ Two constructions live here.
   than the static construction, the price of coding a quantity only
   approximable from below.
 
+The mass streams are staircases keyed by condition (see
+``MonotoneApproximator.from_stairs``): for a condition y their stairs
+list the support, each x with a stair, and each x's supremum, its last
+stair value.  ``kolmo code build`` and both gap reports read the sweep
+bound, the support and the suprema off those stairs instead of running
+a second dovetail or clamping pass for them.
+
 Interval allocation is per conditioning word: every auxiliary word gets
 its own unit interval, so codewords are prefix-free for each fixed
 condition, which is what a decoding machine reading one program with
@@ -33,8 +40,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import repeat
 
-from .apriori import approx_apriori
-from .codes import index_word, parse_word_text, word_index, word_text
+from .codes import check_bits, index_word, parse_word_text, word_index, word_text
 from .complexity import approx_k
 from .exact_arith import Dyadic, Interval, ONE, ZERO, largest_binary_subinterval
 from .prefix_vm import HALT, NO_BIT, PrefixMachine, dovetail
@@ -125,16 +131,18 @@ def psi_discretize(phi: MonotoneApproximator, y_index: int, max_stage: int, max_
     The sweep visits (x, t) with x + t <= ``max_stage`` by x + t, then x;
     a point emits 2**-k when its value lies in [2**-k, 2**-k+1) and the
     last sample of x was below 2**-k, and a value above 1 raises.  A
-    staircase stream is sampled only at its stair stages (stages <= 0
-    count as 1): between them its value repeats, which can neither emit
-    nor raise.  Other streams are sampled at every point.
+    staircase stream is sampled only at the stair stages (stages <= 0
+    count as 1) of the x's its stairs list for the condition: between
+    them its value repeats, which can neither emit nor raise.  Other
+    streams are sampled at every point.
     """
     stairs = phi.stairs
     if stairs is None:
         points = ((x, s - x) for s in range(2, max_stage + 1) for x in range(1, s))
     else:
+        stair_points = {(x, max(k, 1)) for x, (stages, _) in stairs(y_index).items() for k in stages}
         points = sorted(
-            {(x, max(k, 1)) for x in range(1, max_stage) for k in stairs(x, y_index)[0] if k <= max_stage - x},
+            ((x, t) for x, t in stair_points if 0 < x <= max_stage - t),
             key=lambda point: (point[0] + point[1], point[0]),
         )
     emitted = 0
@@ -154,28 +162,39 @@ def psi_discretize(phi: MonotoneApproximator, y_index: int, max_stage: int, max_
         last_sample[x] = v   # phi rejects a falling value, so this is the supremum
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeBook:
     """Per-condition prefix codebook built from threshold events.
 
+    ``entries`` holds (symbol, codeword, interval, event) in allocation
+    order; a parsed book has no events, so there the slot is None.
     Later events of a symbol claim larger intervals and hence shorter
-    codewords; ``codeword(x)`` returns the shortest one.
+    codewords.  The book is an index: symbol -> its first shortest
+    codeword and codeword -> symbol are built once, on construction.
     """
 
     aux: str
-    entries: list[tuple[str, str, Interval, PsiEvent]] = field(default_factory=list)
+    entries: tuple[tuple[str, str, Interval, PsiEvent | None], ...] = ()
     layout_cursor: Dyadic = ZERO
     provenance: str = ""
+    _word_of: dict[str, str] = field(init=False, repr=False, compare=False)
+    _symbol_of: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        word_of: dict[str, str] = {}
+        symbol_of: dict[str, str] = {}
+        for sym, word, _, _ in self.entries:
+            if sym not in word_of or len(word) < len(word_of[sym]):
+                word_of[sym] = word
+            symbol_of.setdefault(word, sym)
+        object.__setattr__(self, "_word_of", word_of)
+        object.__setattr__(self, "_symbol_of", symbol_of)
 
     def codeword(self, x: str) -> str | None:
-        best = None
-        for sym, word, _, _ in self.entries:
-            if sym == x and (best is None or len(word) < len(best)):
-                best = word
-        return best
+        return self._word_of.get(x)
 
     def symbols(self) -> list[str]:
-        return sorted({sym for sym, _, _, _ in self.entries}, key=lambda w: (len(w), w))
+        return sorted(self._word_of, key=lambda w: (len(w), w))
 
 
 def build_codebook(
@@ -188,19 +207,16 @@ def build_codebook(
     """Chop intervals of length event-mass/2 from [0, 1) in event order
     for condition ``y``; codewords are the leftmost largest binary
     subinterval words."""
-    book = CodeBook(aux=y, provenance=provenance or f"per-condition:{max_stage}:{max_events}")
+    entries = []
+    cursor = ZERO
     for ev in psi_discretize(phi, word_index(y), max_stage, max_events):
-        length = ev.mass.halve()
-        hi = book.layout_cursor + length
+        hi = cursor + ev.mass.halve()
         if hi > ONE:
-            raise AllocationOverflowError(
-                f"allocation for condition {y!r} passed 1 at event {ev}"
-            )
-        iv = Interval(book.layout_cursor, hi)
-        word = largest_binary_subinterval(iv).word
-        book.entries.append((ev.x, word, iv, ev))
-        book.layout_cursor = hi
-    return book
+            raise AllocationOverflowError(f"allocation for condition {y!r} passed 1 at event {ev}")
+        iv = Interval(cursor, hi)
+        entries.append((ev.x, largest_binary_subinterval(iv).word, iv, ev))
+        cursor = hi
+    return CodeBook(y, tuple(entries), cursor, provenance or f"per-condition:{max_stage}:{max_events}")
 
 
 def decode(book: CodeBook, p: str, y: str) -> str | None:
@@ -208,10 +224,7 @@ def decode(book: CodeBook, p: str, y: str) -> str | None:
     divergence of the decoding machine."""
     if y != book.aux:
         raise AuxMismatchError(f"book built for {book.aux!r}, asked for {y!r}")
-    for sym, word, _, _ in book.entries:
-        if word == p:
-            return sym
-    return None
+    return book._symbol_of.get(p)
 
 
 def codebook_to_machine(book: CodeBook, name: str = "") -> PrefixMachine:
@@ -219,9 +232,7 @@ def codebook_to_machine(book: CodeBook, name: str = "") -> PrefixMachine:
     designated codeword with the right condition outputs its symbol and
     halts; any other input diverges.  The auxiliary tape is ignored --
     per-condition books are compiled per machine."""
-    by_word = {}
-    for sym, word, _, _ in book.entries:
-        by_word[word] = sym
+    by_word = book._symbol_of
     trie_nodes = {""}
     for word in by_word:
         for cut in range(1, len(word)):
@@ -285,7 +296,12 @@ def codebook_to_machine(book: CodeBook, name: str = "") -> PrefixMachine:
 def machine_mass_stream(m: PrefixMachine, max_stage: int, length_bound: int) -> MonotoneApproximator:
     """The machine's accumulated output mass as a stage function: value at
     (x, y, t) is the mass of word(x) under condition word(y) after
-    dovetail stage t (no event comes after stage ``max_stage``)."""
+    dovetail stage t (no event comes after stage ``max_stage``).  Its
+    stairs list a condition's support, with each output's total mass as
+    its last stair value."""
+    if max_stage < 1 or length_bound < 1:
+        raise ValueError("bounds must be positive")
+
     @cache
     def staircase(y_index: int) -> dict[int, tuple[list[int], list[Dyadic]]]:
         """x index -> (event stages, accumulated masses) under condition y."""
@@ -297,7 +313,7 @@ def machine_mass_stream(m: PrefixMachine, max_stage: int, length_bound: int) -> 
                 values.append((values[-1] if values else ZERO) + Dyadic.pow2(len(ev.program)))
         return stairs
 
-    return MonotoneApproximator.from_stairs(lambda x, y: staircase(y).get(x, ((), ())), name=f"mass:{m.label}")
+    return MonotoneApproximator.from_stairs(staircase, name=f"mass:{m.label}")
 
 
 def mixture_mass_stream(spec: MixtureSpec, max_stage: int) -> MonotoneApproximator:
@@ -343,17 +359,24 @@ class GapRow:
     code_bound_ok: bool | None
 
 
-def _rows_from_book(book: CodeBook, sup_of: dict[str, Dyadic], k_of, q_of) -> list[GapRow]:
+def _gap_rows(phi: MonotoneApproximator, y: str, max_stage: int, estimate=None) -> list[GapRow]:
+    """A row for each x that the stairs of condition ``y`` list, with its
+    supremum read off its last stair.  ``estimate(x)`` is a machine's
+    program search; with it the mass column holds the supremum too."""
+    stairs = phi.stairs(word_index(y))
+    book = build_codebook(phi, y, max_stage + max(stairs, default=1) + 1)
     rows = []
-    for x in sorted(sup_of, key=lambda w: (len(w), w)):
-        sup = sup_of[x]
-        word = book.codeword(x)
-        k_bits = k_of(x)
-        q = q_of(x)
+    for x in sorted(stairs):   # index order is (length, word) order
+        sup = stairs[x][1][-1]
+        sym = index_word(x)
+        word = book.codeword(sym)
+        est = estimate(sym) if estimate else None
+        k_bits = est.bits if est else None
+        q = sup if estimate else None
         neg_log_m = sup.ceil_log2_reciprocal()
         rows.append(
             GapRow(
-                x=x,
+                x=sym,
                 q_mass=q,
                 neg_log_q_ceil=q.ceil_log2_reciprocal() if q else None,
                 k_bits=k_bits,
@@ -372,34 +395,18 @@ def coding_gap_report_machine(
 ) -> list[GapRow]:
     """For every output observed under condition ``y``: accumulated mass,
     shortest-program length, and the codebook length for the machine's
-    own mass stream.  Exact one-sided checks ride along; the two-sided
-    story is left as the visible gaps."""
-    table = approx_apriori(m, y, max_stage, length_bound)
+    own mass stream, all read off the stream's stairs.  Exact one-sided
+    checks ride along; the two-sided story is left as the visible gaps."""
     phi = machine_mass_stream(m, max_stage, length_bound)
-    max_x = max((word_index(x) for x in table.entries), default=1)
-    book = build_codebook(phi, y, max_stage + max_x + 1)
-    sup_of = dict(table.entries)
-    ests = {x: approx_k(m, x, y, length_bound, step_bound) for x in sup_of}
-    return _rows_from_book(
-        book,
-        sup_of,
-        k_of=lambda x: ests[x].bits if ests[x] else None,
-        q_of=lambda x: table.mass(x),
-    )
+    return _gap_rows(phi, y, max_stage, lambda x: approx_k(m, x, y, length_bound, step_bound))
 
 
 def coding_gap_report_mixture(spec: MixtureSpec, y: str, max_stage: int) -> list[GapRow]:
     """Mixture variant: no machine to search, so the program-length and
-    mass columns stay empty and the codebook bound is the whole story."""
-    table = mixture(spec, max_stage)
-    phi = mixture_mass_stream(spec, max_stage)
-    y_index = word_index(y)
-    sup_of = {
-        index_word(x): v for (x, yy), v in table.values.items() if yy == y_index and not v.is_zero
-    }
-    max_x = max((word_index(x) for x in sup_of), default=1)
-    book = build_codebook(phi, y, max_stage + max_x + 1)
-    return _rows_from_book(book, sup_of, k_of=lambda x: None, q_of=lambda x: None)
+    mass columns stay empty and the codebook bound is the whole story.
+    The suprema are the mixture's stage-``max_stage`` values, read off
+    the mixture stream's stairs."""
+    return _gap_rows(mixture_mass_stream(spec, max_stage), y, max_stage)
 
 
 # -- persistence ---------------------------------------------------------
@@ -416,28 +423,45 @@ def format_codebook(book: CodeBook) -> str:
 
 
 def parse_codebook(text: str) -> CodeBook:
+    """Inverse of ``format_codebook``.  Only a book that ``build_codebook``
+    could have written loads: binary words, intervals that follow each
+    other from 0 up to the cursor, and each codeword the word of its
+    interval's leftmost largest binary subinterval.  Each failure names
+    its line."""
     aux = ""
     provenance = ""
-    cursor = ZERO
+    cursor, cursor_line = ZERO, None
     entries = []
+    end = ZERO   # where the last interval ended
     for n, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip()
         if not line:
             continue
-        if line.startswith("# "):
-            key, _, val = line[2:].partition("\t")
-            if key == "aux":
-                aux = parse_word_text(val)
-            elif key == "provenance":
-                provenance = val
-            elif key == "cursor":
-                cursor = Dyadic.parse(val)
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ValueError(f"line {n}: need symbol<TAB>codeword<TAB>lo<TAB>hi")
-        sym, word, lo, hi = fields
-        iv = Interval(Dyadic.parse(lo), Dyadic.parse(hi))
-        mass = iv.length + iv.length
-        entries.append((parse_word_text(sym), parse_word_text(word), iv, PsiEvent(parse_word_text(sym), aux, 0, mass)))
-    return CodeBook(aux=aux, entries=entries, layout_cursor=cursor, provenance=provenance)
+        try:
+            if line.startswith("# "):
+                key, _, val = line[2:].partition("\t")
+                if key == "aux":
+                    aux = check_bits(parse_word_text(val))
+                elif key == "provenance":
+                    provenance = val
+                elif key == "cursor":
+                    cursor, cursor_line = Dyadic.parse(val), n
+                continue
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise ValueError("need symbol<TAB>codeword<TAB>lo<TAB>hi")
+            sym, word = (check_bits(parse_word_text(f)) for f in fields[:2])
+            iv = Interval(Dyadic.parse(fields[2]), Dyadic.parse(fields[3]))
+            if iv.lo != end:
+                raise ValueError(f"interval starts at {iv.lo}, not where the one before ended ({end})")
+            best = largest_binary_subinterval(iv)
+            if best is None or best.word != word:
+                raise ValueError(f"codeword {word_text(word)} is not the largest binary subinterval of {iv}")
+        except ValueError as err:
+            raise ValueError(f"line {n}: {err}") from None
+        entries.append((sym, word, iv, None))
+        end = iv.hi
+    if cursor != end:
+        where = f"line {cursor_line}: cursor {cursor}" if cursor_line else "no cursor line"
+        raise ValueError(f"{where}: the last interval ends at {end}")
+    return CodeBook(aux, tuple(entries), cursor, provenance)

@@ -96,6 +96,47 @@ class TestUsageErrors:
         assert proc.returncode == 2
 
 
+class TestCodeInputErrors:
+    @pytest.mark.parametrize("op", ["build", "gap"])
+    @pytest.mark.parametrize("bound", [("--max-stage", "0"), ("--max-stage", "-3"), ("-L", "0")])
+    def test_bounds_must_be_positive(self, op, bound):
+        proc = kolmo("code", op, "-m", "ident", *bound, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: bounds must be positive\n"
+        assert proc.stdout == ""
+
+    # books that ``code build`` could not have written
+    BAD_BOOKS = [
+        # codeword 1 lies outside [0, 1/2), and two symbols share it
+        ("0\t1\t0/2^0\t1/2^1\n1\t1\t1/2^1\t1/2^0\n", "1/2^0",
+         "line 4: codeword 1 is not the largest binary subinterval of [0/2^0, 1/2^1)"),
+        ("ab\t0\t0/2^0\t1/2^1\n", "1/2^1", "line 4: not a binary word: 'ab'"),
+        ("0\tzz\t0/2^0\t1/2^1\n", "1/2^1", "line 4: not a binary word: 'zz'"),
+        ("0\t0\t0/2^0\t1/2^1\n1\t11\t3/2^2\t1/2^0\n", "1/2^0",
+         "line 5: interval starts at 3/2^2, not where the one before ended (1/2^1)"),
+        ("0\t01\t1/2^2\t1/2^1\n", "1/2^1", "line 4: interval starts at 1/2^2, not where the one before ended (0/2^0)"),
+        ("0\t0\t0/2^0\t1/2^1\n", "1/2^2", "line 3: cursor 1/2^2: the last interval ends at 1/2^1"),
+        ("0\t0\t0/2^0\t1/2^1\n", "x", "line 3: not a dyadic literal: 'x'"),
+    ]
+
+    @pytest.mark.parametrize("rows, cursor, message", BAD_BOOKS)
+    def test_a_book_that_decodes_wrongly_is_refused(self, tmp_path, rows, cursor, message):
+        book = tmp_path / "book.tsv"
+        book.write_text(f"# aux\t-\n# provenance\thand\n# cursor\t{cursor}\n{rows}")
+        for argv in (("encode", "--x", "0"), ("decode", "-p", "1")):
+            proc = kolmo("code", argv[0], "--book", str(book), *argv[1:], check=False)
+            assert proc.returncode == 1
+            assert proc.stderr == f"error: {message}\n"
+            assert proc.stdout == ""
+
+    def test_a_book_with_a_bad_aux_is_refused(self, tmp_path):
+        book = tmp_path / "book.tsv"
+        book.write_text("# aux\tx2\n# cursor\t0/2^0\n")
+        proc = kolmo("code", "decode", "--book", str(book), "-p", "0", "--aux", "-", check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: line 1: not a binary word: 'x2'\n"
+
+
 class TestPipelines:
     def test_code_build_encode_decode_roundtrip(self, tmp_path):
         book = tmp_path / "book.tsv"

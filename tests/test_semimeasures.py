@@ -409,10 +409,16 @@ class TestStairPathAgainstGridLoop:
 
         listed = MonotoneApproximator.from_table(rows).stairs
 
-        def stairs(x, y):
-            if (x, y) == (3, 1):
-                raise DivergeSignal
-            return listed(x, y)
+        class Diverging(dict):
+            """Stairs of condition 1, whose lookup of x = 3 diverges."""
+
+            def get(self, x, default=None):
+                if x == 3:
+                    raise DivergeSignal
+                return super().get(x, default)
+
+        def stairs(y):
+            return Diverging(listed(y)) if y == 1 else listed(y)
 
         def make():
             return MonotoneApproximator.from_stairs(stairs)

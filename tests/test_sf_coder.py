@@ -682,3 +682,133 @@ class TestStairSweep:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / "book_ident_2000_14.tsv").read_text()
+
+
+# -- support and suprema read off the stairs, against the passes they replaced
+
+def scanned_codeword(book, x):
+    """First shortest codeword of x, by a scan of the entries."""
+    best = None
+    for sym, word, _, _ in book.entries:
+        if sym == x and (best is None or len(word) < len(best)):
+            best = word
+    return best
+
+
+def scanned_symbol(book, p):
+    """Symbol of the first entry with codeword p, by a scan."""
+    return next((sym for sym, word, _, _ in book.entries if word == p), None)
+
+
+class TestStairReadersAgainstReferees:
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_machine_gap_report_against_the_apriori_table(self, name):
+        m = load_fixture(name)
+        for max_stage, length_bound in TestMassStreamsAgainstReferees.BOUNDS:
+            for aux in ("", "1"):
+                table = approx_apriori(m, aux, max_stage, length_bound)
+                support = sorted(table.entries, key=lambda w: (len(w), w))
+                phi = machine_mass_stream(m, max_stage, length_bound)
+                assert max(phi.stairs(word_index(aux)), default=None) == max(map(word_index, support), default=None)
+                sweep = max_stage + max(map(word_index, support), default=1) + 1
+                book = build_codebook(machine_mass_stream(m, max_stage, length_bound), aux, sweep)
+                rows = coding_gap_report_machine(m, aux, max_stage, length_bound, 60)
+                assert [row.x for row in rows] == support, (name, max_stage, length_bound, aux)
+                for row in rows:
+                    assert row.q_mass == row.m_sup == table.mass(row.x)
+                    assert row.code_len == len(book.codeword(row.x))
+
+    def test_mixture_gap_report_against_the_mixture_column(self):
+        max_stage = 6
+        specs = TestMassStreamsAgainstReferees().mixture_specs
+        for spec, again in zip(specs(), specs()):
+            try:
+                table = mixture(spec, max_stage)
+            except MonotonicityError:
+                # the first error may name another point: the stream
+                # clamps its components stage by stage, mixture one by one
+                with pytest.raises(MonotonicityError):
+                    coding_gap_report_mixture(again, "", max_stage)
+                continue
+            for y in range(1, 6):
+                rows = coding_gap_report_mixture(again, index_word(y), max_stage)
+                column = {index_word(x): v for (x, yy), v in table.values.items() if yy == y}
+                assert [row.x for row in rows] == sorted(column, key=lambda w: (len(w), w))
+                assert {row.x: row.m_sup for row in rows} == column, (spec, y)
+                assert all(row.q_mass is None and row.k_bits is None for row in rows)
+
+    def test_code_build_and_gap_run_no_apriori_pass(self, monkeypatch, capsys):
+        import kolmo.apriori
+        from kolmo import cli
+
+        def refuse(*args):
+            raise AssertionError("approx_apriori called")
+
+        monkeypatch.setattr(kolmo.apriori, "approx_apriori", refuse)
+        monkeypatch.setattr(cli, "approx_apriori", refuse)
+        assert cli.main(["code", "build", "-m", "ident", "--max-stage", "60", "-L", "6"]) == 0
+        assert cli.main(["code", "gap", "-m", "ident", "--max-stage", "60", "-L", "6", "-S", "60"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["-m", "copy2", "--max-stage", "60", "-L", "6", "-S", "60"], "gap_copy2_60_6_60.tsv"),
+        (["-m", "ident", "--max-stage", "400", "-L", "10", "-S", "64", "--aux", "1"], "gap_ident_400_10_64_aux1.tsv"),
+    ])
+    def test_code_gap_golden(self, argv, golden):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kolmo.cli", "code", "gap", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / golden).read_text()
+
+
+class TestCodeBookIndex:
+    def test_lookups_match_a_scan_of_the_entries(self):
+        rng = random.Random(99)
+        for trial in range(60):
+            _, levels = random_staircase_mixture(rng)
+            book = build_codebook(staircase_phi(levels), "", 40)
+            parsed = parse_codebook(format_codebook(book))
+            assert [entry[:3] for entry in parsed.entries] == [entry[:3] for entry in book.entries]
+            assert all(ev is None for *_, ev in parsed.entries)
+            assert codebook_to_machine(parsed) == codebook_to_machine(book)
+            for b in (book, parsed):
+                symbols = sorted({sym for sym, _, _, _ in b.entries}, key=lambda w: (len(w), w))
+                assert b.symbols() == symbols
+                for sym in symbols + ["111111"]:
+                    assert b.codeword(sym) == scanned_codeword(b, sym), trial
+                for p in [word for _, word, _, _ in b.entries] + ["", "1111111", "0" * 12]:
+                    assert decode(b, p, "") == scanned_symbol(b, p), trial
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_built_books_load_and_format_back(self, name):
+        m = load_fixture(name)
+        for max_stage, length_bound in [(60, 6), (200, 8)]:
+            for aux in ("", "1"):
+                phi = machine_mass_stream(m, max_stage, length_bound)
+                sweep = max_stage + max(phi.stairs(word_index(aux)), default=1) + 1
+                text = format_codebook(build_codebook(phi, aux, sweep))
+                assert format_codebook(parse_codebook(text)) == text
+
+    def test_golden_book_loads(self):
+        text = (GOLDEN / "book_ident_2000_14.tsv").read_text()
+        book = parse_codebook(text)
+        assert len(book.entries) == 31 and format_codebook(book) == text
+        for sym in book.symbols():
+            assert decode(book, book.codeword(sym), "") == sym
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda rows: rows[1:], 4),                                  # the first interval starts past 0
+        (lambda rows: rows[:1] + rows[2:], 5),                       # a gap between two intervals
+        (lambda rows: [rows[1], rows[0]] + rows[2:], 4),             # intervals out of order
+        (lambda rows: [rows[0].replace("\t0", "\t1", 1)] + rows[1:], 4),   # another codeword
+        (lambda rows: [rows[0].replace("0", "2", 1)] + rows[1:], 4),       # not a binary codeword
+        (lambda rows: rows[:-1], 3),                                 # the cursor past the last interval
+    ])
+    def test_edited_books_are_refused_with_their_line(self, edit, line):
+        phi = staircase_phi({(1, 1): [dy(1, 3), dy(1, 2), dy(1, 1)], (2, 1): [dy(1, 2)]})
+        lines = format_codebook(build_codebook(phi, "", 12)).splitlines(keepends=True)
+        assert lines[2].startswith("# cursor\t") and len(lines) == 7
+        parse_codebook("".join(lines))
+        with pytest.raises(ValueError, match=rf"^line {line}: "):
+            parse_codebook("".join(lines[:3] + edit(lines[3:])))
