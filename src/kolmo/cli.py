@@ -9,11 +9,17 @@ Every invocation can record a run manifest (``--manifest PATH``): a JSON
 document with the tool version, the subcommand and its flags, the
 digests of any machine or file inputs, and the digest of the produced
 output.  Two runs with equal manifests produce byte-identical outputs.
+
+``main(argv)`` may be called any number of times in one process.  It
+builds the argument parser on its first call and reuses it after that:
+each parse returns a fresh namespace, and help and error text are
+formatted when they are printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -74,11 +80,11 @@ def _word(text: str) -> str:
 
 
 def _load_machine(spec: str):
-    """fixture name | decimal enumeration position | path to a .tm file.
+    """fixture name | ASCII decimal enumeration position | path to a .tm file.
 
     Names are also resolved against $KOLMO_FIXTURES when it is set.
     """
-    if spec.isdigit():
+    if spec.isascii() and spec.isdigit():   # str.isdigit alone takes '²' and '٣'
         return enumerate_machines(int(spec))
     if spec in fixture_names():
         return load_fixture(spec)
@@ -203,6 +209,8 @@ def cmd_vm_run(args) -> int:
 
 
 def cmd_vm_enumerate(args) -> int:
+    if args.count < 0:
+        raise SystemExit(f"error: --count must not be negative, got {args.count}")
     out = _Output(args, "vm enumerate")
     for i in range(args.start, args.start + args.count):
         if args.descriptions:
@@ -470,7 +478,12 @@ def cmd_selftest(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kolmo`` parser, built once per process and shared by every
+    caller, so no caller may change it.  It holds no kolmo library
+    function, only this module's ``cmd_*`` handlers, which look their
+    library functions up when they run."""
     parser = argparse.ArgumentParser(prog="kolmo", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"kolmo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,10 +1,16 @@
-"""End-to-end runs of the command line surface via subprocess."""
+"""End-to-end runs of the command line surface via subprocess, and the
+same runs in process through ``cli.main``, which reuses one parser."""
 
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+
+from kolmo import cli
 
 
 def kolmo(*argv, stdin: str = "", check: bool = True):
@@ -17,6 +23,27 @@ def kolmo(*argv, stdin: str = "", check: bool = True):
     if check and proc.returncode != 0:
         raise AssertionError(f"kolmo {' '.join(argv)} failed:\n{proc.stderr}")
     return proc
+
+
+def in_process(*argv):
+    """stdout, stderr and exit code of ``cli.main(argv)`` run in this
+    process on an empty stdin, as the interpreter would report them for
+    ``kolmo argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exit_:
+                code = exit_.code
+                if isinstance(code, str):   # the interpreter prints the message and exits 1
+                    print(code, file=sys.stderr)
+                    code = 1
+    finally:
+        sys.stdin = saved
+    return out.getvalue(), err.getvalue(), 0 if code is None else code
 
 
 class TestCodes:
@@ -73,9 +100,26 @@ class TestVm:
         assert a == b
         assert a.splitlines()[0] == "stage\tprogram\toutput"
 
+    def test_enumerate_negative_count_is_an_error(self):
+        proc = kolmo("vm", "enumerate", "--count", "-5", check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: --count must not be negative, got -5\n"
+        assert proc.stdout == ""
+
+    def test_enumerate_count_zero_prints_nothing(self):
+        proc = kolmo("vm", "enumerate", "--count", "0")
+        assert (proc.stdout, proc.stderr) == ("", "")
+
     def test_unknown_machine(self):
         proc = kolmo("vm", "run", "-m", "nosuch", "-p", "0", check=False)
         assert proc.returncode != 0
+
+    @pytest.mark.parametrize("spec", ["\u00b2", "\u0663"])   # superscript two, Arabic-Indic three
+    def test_machine_position_is_ascii_decimal(self, spec):
+        proc = kolmo("vm", "run", "-m", spec, "-p", "0", check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: unknown machine {spec!r} (not a fixture, position, or file)\n"
+        assert proc.stdout == ""
 
     def test_bad_machine_token_is_an_error(self, tmp_path):
         bad = tmp_path / "bad.tm"
@@ -340,3 +384,63 @@ class TestDeterminismAndManifest:
         assert o1.read_bytes() == o2.read_bytes()
         assert d1["subcommand"] == "vm dovetail"
         assert d1["inputs"]["machine"] == d2["inputs"]["machine"]
+
+
+class TestInProcess:
+    """``cli.main`` builds its parser on the first call and reuses it, so
+    no call may see state left by an earlier one."""
+
+    def test_ten_calls_build_the_parsers_of_one(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+
+        def parsers_built(calls):
+            cli.build_parser.cache_clear()
+            built.clear()
+            for _ in range(calls):
+                assert in_process("vm", "run", "-m", "copy2", "-p", "10")[2] == 0
+            return len(built)
+
+        one = parsers_built(1)
+        assert one > 1   # the top-level parser and its subparsers
+        assert parsers_built(10) == one
+
+    CONDITION_SET = ["demo", "condition-set", "-m", "ident", "--members", ",0",
+                     "--max-stage", "300", "-L", "7", "-S", "300"]
+    DOVETAIL = ["vm", "dovetail", "-m", "copy2", "--max-stage", "30"]
+    SEQUENCES = {
+        # an appended flag, then its shared default
+        "probe": [CONDITION_SET + ["--probe", "00"], CONDITION_SET],
+        # a file sink, then stdout again
+        "output": [DOVETAIL + ["--output", "{tmp}/out", "--manifest", "{tmp}/manifest.json"], DOVETAIL],
+        # a usage error, then a valid command
+        "usage": [["vm", "run", "-m", "copy2"], ["vm", "run", "-m", "copy2", "-p", "10"]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_sequence_matches_fresh_processes(self, name, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")   # usage text wraps at the terminal width
+
+        def outcomes(run):
+            seen = []
+            for argv in self.SEQUENCES[name]:
+                argv = [a.format(tmp=tmp_path) for a in argv]
+                seen.append(run(argv))
+                for path in sorted(tmp_path.iterdir()):   # the files the run wrote
+                    seen.append((path.name, path.read_text()))
+                    path.unlink()
+            return seen
+
+        def fresh(argv):
+            proc = kolmo(*argv, check=False)
+            return proc.stdout, proc.stderr, proc.returncode
+
+        reused = outcomes(lambda argv: in_process(*argv))
+        assert reused == outcomes(fresh)
+        assert len(reused) == (4 if name == "output" else 2)

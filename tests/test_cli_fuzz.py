@@ -9,8 +9,12 @@ so flags such as ``--output`` or ``--book`` write there.  Integers put
 into an argv are at most 64.  A length bound L lets a program search
 visit about 2**L programs, so an argv whose length bound is above 16 is
 not run: that is a long search, not a malformed input.
+
+``cli.main`` reuses one parser for all these runs; the last test checks
+that they left it as a fresh build would be.
 """
 
+import argparse
 import contextlib
 import functools
 import io
@@ -178,3 +182,38 @@ def test_command_reading_a_mutated_file(case):
 def test_unmutated_commands_succeed():
     for argv in README_ARGV + [argv for readers in READERS.values() for argv in readers]:
         assert run_in_fresh_dir(argv) == 0, argv
+
+
+def _parsers(parser, path=("kolmo",)):
+    """(path, parser) for ``parser`` and every subparser below it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, path + (name,))
+
+
+def _shape(parser):
+    """What a parse or a help text reads off one parser."""
+    actions = [(a.option_strings, a.dest, a.default, a.required, a.nargs, a.type, a.help)
+               for a in parser._actions if not isinstance(a, argparse._SubParsersAction)]
+    return parser.format_usage(), parser.format_help(), dict(parser._defaults), actions
+
+
+def test_reused_parser_matches_a_fresh_build(monkeypatch):
+    """Run after the fuzz tests above, which send their argvs through the
+    same parser; the README argvs with each token deleted, an appended
+    ``--probe`` and a few usage errors run here too, so the test also
+    holds when run alone."""
+    monkeypatch.setenv("COLUMNS", "80")
+    others = [["demo", "condition-set", "-m", "ident", "--members", ",0", "--probe", "00", "--probe", "1"],
+              ["--help"], ["--version"], ["vm", "run", "--help"], ["vm", "run", "-m", "copy2"],
+              ["vm", "dovetail", "-m", "ident", "--scheduler", "nosuch"], ["k", "--x", "0", "-L", "x"],
+              ["codes", "kraft", "--nonsense"], ["frobnicate"], []]
+    deleted = [argv[:i] + argv[i + 1:] for argv in README_ARGV for i in range(len(argv))]
+    for argv in README_ARGV + deleted + others:
+        assert run_in_fresh_dir(argv) in (0, 1, 2), argv
+    reused = {path: _shape(p) for path, p in _parsers(cli.build_parser())}
+    fresh = {path: _shape(p) for path, p in _parsers(cli.build_parser.__wrapped__())}
+    assert len(fresh) == 18   # kolmo, its 8 commands and the 9 subcommands of vm, code and demo
+    assert reused == fresh
