@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 from ..prefix_vm import PrefixMachine, parse_machine_text
@@ -9,9 +10,10 @@ from ..prefix_vm import PrefixMachine, parse_machine_text
 __all__ = ["fixture_names", "load_fixture"]
 
 
-def fixture_names() -> list[str]:
+@cache
+def fixture_names() -> tuple[str, ...]:
     root = resources.files(__name__)
-    return sorted(p.name[:-3] for p in root.iterdir() if p.name.endswith(".tm"))
+    return tuple(sorted(p.name[:-3] for p in root.iterdir() if p.name.endswith(".tm")))
 
 
 def load_fixture(name: str) -> PrefixMachine:

@@ -124,6 +124,7 @@ class PrefixMachine:
     name: str = field(default="", compare=False)
     index: int | None = field(default=None, compare=False)
     _table: dict = field(init=False, repr=False, compare=False)
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_states < 1:
@@ -153,8 +154,11 @@ class PrefixMachine:
         return self._table.get(key)
 
     def digest(self) -> str:
-        text = machine_to_text(self)
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        # computed on first use: most enumerated machines never ask for it
+        if self._digest is None:
+            text = machine_to_text(self)
+            object.__setattr__(self, "_digest", hashlib.sha256(text.encode()).hexdigest()[:16])
+        return self._digest
 
     @property
     def label(self) -> str:
@@ -345,9 +349,11 @@ def dovetail(m: PrefixMachine, aux: str, max_stage: int, scheduler: str = "share
     executes its (k - j)-th step.
 
     Both schedulers emit the identical event list, ordered by stage and
-    then program position.  "staged" is the literal one-step-per-stage
-    loop; "shared-tree" replays the prefix-sharing search and derives
-    each halt's stage arithmetically.
+    then program position.  "staged" is the literal loop: it steps each
+    running program once per stage and stops visiting a program once it
+    ends (halts, gets stuck or reads past its word); "shared-tree"
+    replays the prefix-sharing search and derives each halt's stage
+    arithmetically.
     """
     if max_stage < 1:
         raise ValueError("max_stage must be positive")
@@ -368,30 +374,27 @@ def dovetail(m: PrefixMachine, aux: str, max_stage: int, scheduler: str = "share
 
 
 def _dovetail_staged(m: PrefixMachine, aux: str, max_stage: int) -> list[HaltEvent]:
-    # program j -> (its sim, its word), None once it is done
-    sims: dict[int, tuple[_Sim, str] | None] = {}
+    # the programs still running, in position order: (its sim, its word)
+    running: list[tuple[_Sim, str]] = []
     events: list[HaltEvent] = []
     for k in range(2, max_stage + 1):
-        for j in range(1, k):
-            if j not in sims:
-                sims[j] = (_Sim(), index_word(j))
-            if sims[j] is None:
-                continue
-            sim, word = sims[j]
+        running.append((_Sim(), index_word(k - 1)))
+        still: list[tuple[_Sim, str]] = []
+        for sim, word in running:
             status = _step(m, sim, aux)
             if status == _STUCK:
-                sims[j] = None
                 continue
             if status == _READ:
                 if sim.bits_read == len(word):
-                    sims[j] = None
                     continue
                 sim.pending = int(word[sim.bits_read])
                 sim.bits_read += 1
             if sim.state == HALT:
                 if sim.bits_read == len(word):
                     events.append(HaltEvent(word, "".join(sim.out), k, m.index))
-                sims[j] = None
+                continue
+            still.append((sim, word))
+        running = still
     return events
 
 

@@ -539,6 +539,28 @@ class TestTextFormat:
             encode_description(big)
         assert big.digest()   # text digest still works
 
+    def test_digest_hashes_the_text_once(self, monkeypatch):
+        import hashlib
+
+        machines = [load_fixture(name) for name in fixture_names()]
+        machines += [enumerate_machines(i) for i in range(1, 31)]
+        texts = []
+        to_text = prefix_vm.machine_to_text
+
+        def counting_to_text(m):
+            texts.append(1)
+            return to_text(m)
+
+        monkeypatch.setattr(prefix_vm, "machine_to_text", counting_to_text)
+        for m in machines:
+            fresh = PrefixMachine(m.n_states, m.entries, name=m.name, index=m.index)
+            want = hashlib.sha256(to_text(m).encode()).hexdigest()[:16]
+            assert m.digest() == want == m.digest()
+            # the stored digest leaves equality, hashing and repr alone
+            assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+            assert PrefixMachine(m.n_states, m.entries, name="other").digest() == want
+        assert len(texts) == 2 * len(machines)   # each machine and its renamed twin once
+
 
 def random_machine(seed, max_states=3, max_entries=14):
     import random
@@ -584,3 +606,101 @@ class TestRandomMachineDifferential:
         for seed in range(80):
             m = random_machine(seed)
             assert dovetail(m, "", 120) == dovetail(m, "", 120, "staged"), seed
+
+
+def dict_staged_dovetail(m, aux, max_stage):
+    """The staged scheduler as it was first written: at every stage k it
+    visits positions 1 .. k - 1 through a dict and skips the ones that
+    have ended.  It steps through ``prefix_vm._step`` looked up at call
+    time, so a patched ``_step`` counts its steps too."""
+    sims = {}
+    events = []
+    for k in range(2, max_stage + 1):
+        for j in range(1, k):
+            if j not in sims:
+                sims[j] = (prefix_vm._Sim(), prefix_vm.index_word(j))
+            if sims[j] is None:
+                continue
+            sim, word = sims[j]
+            status = prefix_vm._step(m, sim, aux)
+            if status == prefix_vm._STUCK:
+                sims[j] = None
+                continue
+            if status == prefix_vm._READ:
+                if sim.bits_read == len(word):
+                    sims[j] = None
+                    continue
+                sim.pending = int(word[sim.bits_read])
+                sim.bits_read += 1
+            if sim.state == HALT:
+                if sim.bits_read == len(word):
+                    events.append(prefix_vm.HaltEvent(word, "".join(sim.out), k, m.index))
+                sims[j] = None
+    return events
+
+
+# never reads and never halts: every program is still running at the end
+SPINNER = parse_machine_text("states 1\n0 - * * -> 0 0 S S . .\n")
+# reads one bit, then halts at once on a 1 and one step later on a 0, so
+# the programs 0 and 1 (positions 2 and 3) both halt at stage 5
+TIED = parse_machine_text(
+    "states 2\n0 - * * -> 1 0 S S . r\n1 0 * * -> 1 0 S S . .\n1 1 * * -> H 0 S S 1 .\n1 - * * -> H 0 S S 0 .\n"
+)
+
+
+def staged_cases():
+    """(machine, aux, max_stage) cases for the referee comparisons."""
+    for name in fixture_names():
+        for aux in ("", "1", "0110"):
+            for stage in (1, 2, 3, 60, 300):
+                yield load_fixture(name), aux, stage
+    for i in list(range(1, 31)) + [117]:
+        yield enumerate_machines(i), "", 120
+    for seed in range(150):
+        yield random_machine(seed), "", 120
+    yield SPINNER, "", 300
+    yield TIED, "", 60
+
+
+class TestStagedScheduler:
+    """The staged scheduler keeps a list of the running programs; the
+    dict-based loop it replaced is its referee, event for event and step
+    for step."""
+
+    def test_matches_the_dict_referee(self):
+        for m, aux, stage in staged_cases():
+            assert dovetail(m, aux, stage, "staged") == dict_staged_dovetail(m, aux, stage), (m.label, aux, stage)
+
+    def test_halt_at_the_last_stage_is_reported(self):
+        # a program at position j halting after c steps is reported at
+        # stage j + c exactly, and not one stage before
+        m = load_fixture("ident")
+        for event in dovetail(m, "", 300)[:8]:
+            evs = dovetail(m, "", event.stage, "staged")
+            assert evs == dict_staged_dovetail(m, "", event.stage)
+            assert evs[-1] == event
+            assert event not in dovetail(m, "", event.stage - 1, "staged")
+
+    def test_halts_within_a_stage_come_in_position_order(self):
+        evs = dovetail(TIED, "", 60, "staged")
+        assert [(e.program, e.stage) for e in evs[:2]] == [("0", 5), ("1", 5)]
+
+    def test_lockstep_with_the_referee(self, monkeypatch):
+        calls = []
+        real_step = prefix_vm._step
+
+        def counting_step(*args):
+            calls.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(prefix_vm, "_step", counting_step)
+        for m, aux, stage in staged_cases():
+            calls.clear()
+            want = dict_staged_dovetail(m, aux, stage)
+            referee_calls = len(calls)
+            calls.clear()
+            assert dovetail(m, aux, stage, "staged") == want
+            assert len(calls) == referee_calls, (m.label, aux, stage)
+        calls.clear()
+        dovetail(SPINNER, "", 300, "staged")
+        assert len(calls) == 300 * 299 // 2   # one step per program per stage
